@@ -10,7 +10,7 @@ Subcommands
 Exit codes: 0 success, 1 tolerance/assertion or computation failure,
 2 usage/parse error.  Reports embed the full evaluation config; repeated runs
 with identical flags produce byte-identical results sections (timestamps are
-confined to the manifest).  CSL_THREADS caps internal parallelism.
+confined to the manifest).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .config import EvalConfig
+from .config import PLAIN_CONFIG, EvalConfig
 from .errors import ZetaLabError
 from .experiments import (
     DOUBLING_BUDGET,
@@ -39,7 +39,6 @@ from .reporting import (
     format_float,
     json_compact,
     json_dumps,
-    ordered_map,
 )
 from .series import zeta_hat_eta, zeta_hat_regularized, zeta_partial, eta_partial
 from .zeros import (
@@ -238,7 +237,7 @@ def cmd_residual(args) -> int:
         except ZetaLabError as exc:
             return (z, None, type(exc).__name__)
 
-    outcomes = ordered_map(evaluate, points)
+    outcomes = [evaluate(z) for z in points]
     rows = []
     max_residual = 0.0
     skipped = 0
@@ -330,8 +329,7 @@ def cmd_doubling(args) -> int:
     if args.z is not None and args.zero_index is not None:
         raise argparse.ArgumentTypeError("--z and --zero-index are mutually exclusive")
 
-    config = _config_from(args)
-    manifest = _manifest("doubling", args, config,
+    manifest = _manifest("doubling", args, PLAIN_CONFIG,
                          ["z", "zero_index", "zero_table", "nbase", "m"])
 
     if args.zero_index is not None:
@@ -470,7 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_zeros, accelerate_default=True)
     p_zeros.set_defaults(handler=cmd_zeros)
 
-    p_dbl = sub.add_parser("doubling", help="doubling-ratio experiment (plain sums)")
+    # no abbreviations, so that a stray evaluation-config flag such as --n is
+    # rejected rather than read as --nbase
+    p_dbl = sub.add_parser("doubling", help="doubling-ratio experiment (plain sums)",
+                           allow_abbrev=False)
     p_dbl.add_argument("--z", type=parse_complex, default=None)
     p_dbl.add_argument("--zero-index", type=_positive_int, default=None,
                        help="1-based index into the zero table (default: packaged table)")
@@ -479,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dbl.add_argument("--m", type=_positive_int, default=5,
                        help="number of doublings (budget n_base*2^m <= %d)" % DOUBLING_BUDGET)
     p_dbl.add_argument("--out", default=None, help="write the report here instead of stdout")
-    _add_config_flags(p_dbl, accelerate_default=False)
     p_dbl.set_defaults(handler=cmd_doubling)
 
     p_err = sub.add_parser("errscan", help="error-scaling scan (plain sums vs reference)")

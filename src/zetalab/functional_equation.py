@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .config import DEFAULT_GUARD_RADIUS, EvalConfig
 from .errors import DivisionByNearZero, DomainError, PoleError, SingularityError
 from .series import zeta_hat_eta, zeta_hat_regularized
-from .special_functions import LN_2, LN_2PI, log_gamma, log_sin
+from .special_functions import LN_2, LN_2PI, _require_finite, log_gamma, log_sin
 
 #: Denominators below this are treated as exact zeros rather than data; at an
 #: actual zeta zero both ratio terms vanish at the same rate, so the finite-n
@@ -46,9 +46,7 @@ def h_factor(z: complex, guard_radius: float = DEFAULT_GUARD_RADIUS) -> complex:
     Gamma(1-z) has poles.  H(1/2) = 1 exactly up to rounding, and
     |H(1/2 + i t)| = 1 on the whole critical line.
     """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"z must be finite, got {z!r}")
+    z = _require_finite(z)
     nearest = round(z.real)
     if nearest >= 1 and abs(z - nearest) <= guard_radius:
         raise PoleError(f"H has a pole of Gamma(1-z) near z={z!r} (integer {nearest})")

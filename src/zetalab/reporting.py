@@ -1,4 +1,4 @@
-"""Deterministic serialization and small orchestration helpers.
+"""Deterministic serialization and atomic report writes.
 
 Reports must be byte-identical across runs with the same flags, so floats are
 rendered with a fixed 17-significant-digit format (round-trip exact for IEEE
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 
@@ -154,26 +153,3 @@ def atomic_write_text(path, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-def worker_count() -> int:
-    """Internal parallelism cap from CSL_THREADS (default: serial)."""
-    raw = os.environ.get("CSL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def ordered_map(fn, items):
-    """map() preserving input order, fanned out over CSL_THREADS workers.
-
-    Tasks must be pure; results are collected in submission order, so the
-    output is identical to a serial map.
-    """
-    items = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -31,6 +31,7 @@ import numpy as np
 
 from .config import DEFAULT_GUARD_RADIUS, EvalConfig
 from .errors import DomainError, PrefactorSingularityError, SingularityError
+from .special_functions import _require_finite
 
 _LD = np.clongdouble
 _RD = np.longdouble
@@ -38,12 +39,6 @@ _RD = np.longdouble
 # Fixed absolute chunk boundaries keep partial sums deterministic and memory
 # bounded for very large truncation indices.
 _CHUNK = 1 << 19
-
-#: Series evaluation modes reported in SeriesValue.mode.
-MODE_PLAIN_ZETA = "plain_zeta"
-MODE_ETA_PREFACTORED = "eta_prefactored"
-MODE_REGULARIZED = "regularized"
-SERIES_MODES = (MODE_PLAIN_ZETA, MODE_ETA_PREFACTORED, MODE_REGULARIZED)
 
 
 @dataclass(frozen=True)
@@ -62,13 +57,6 @@ class SeriesValue:
     est_error: float
 
 
-def _require_finite(z: complex) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"z must be finite, got {z!r}")
-    return z
-
-
 def _require_n(n: int) -> int:
     if n < 1:
         raise ValueError(f"truncation index must be >= 1, got {n}")
@@ -81,28 +69,41 @@ def _check_overflow(z: complex, n: int) -> None:
         raise OverflowError(f"terms of k^(-{z!r}) overflow double range at n={n}")
 
 
+def _keep_tail(tail, sums: np.ndarray, keep: int):
+    # the last ``keep`` running sums once the chunk ``sums`` is appended,
+    # copied so that the chunk itself can be freed
+    if tail is None or len(sums) >= keep:
+        return sums[-keep:].copy()
+    return np.concatenate([tail, sums])[-keep:]
+
+
 def _partial_sums(
     z: complex,
     n: int,
     marks: tuple[int, ...] = (),
     tail_keep: int = 0,
     alternating: bool = False,
+    derivative: bool = False,
 ):
     """Stream the ascending partial sums of k^(-z) (optionally signed).
 
-    Returns (values, tail) where ``values[i]`` is the partial sum at
+    Returns (values, tail, dtail) where ``values[i]`` is the partial sum at
     ``marks[i]`` (marks must be sorted, each in [1, n]) and ``tail`` holds the
     last ``tail_keep`` partial sums S_{n-tail_keep+1} .. S_n, all in extended
-    precision.
+    precision.  With ``derivative`` the term-wise derivative series, terms
+    -ln k * k^(-z) with the same signs, is accumulated alongside and
+    ``dtail`` holds its last ``tail_keep`` partial sums; otherwise it is None.
     """
     zc = complex(z)
     values = []
-    tail = None
-    carry = _LD(0.0)
+    tail = dtail = None
+    carry = dcarry = _LD(0.0)
     mark_idx = 0
     for k0 in range(1, n + 1, _CHUNK):
         k1 = min(k0 + _CHUNK, n + 1)
         k = np.arange(k0, k1, dtype=np.float64)
+        # ln k is recomputed for the derivative rather than kept alive across
+        # the chunk, which would raise the peak memory of the plain stream
         terms = np.exp(-zc * np.log(k))
         if alternating:
             first_even = 0 if k0 % 2 == 0 else 1
@@ -113,11 +114,13 @@ def _partial_sums(
             mark_idx += 1
         carry = sums[-1]
         if tail_keep:
-            if tail is None or len(sums) >= tail_keep:
-                tail = sums[-tail_keep:]
-            else:
-                tail = np.concatenate([tail, sums])[-tail_keep:]
-    return values, tail
+            tail = _keep_tail(tail, sums, tail_keep)
+        if derivative:
+            dsums = dcarry + np.cumsum(terms * -np.log(k), dtype=_LD)
+            dcarry = dsums[-1]
+            if tail_keep:
+                dtail = _keep_tail(dtail, dsums, tail_keep)
+    return values, tail, dtail
 
 
 def _tail_average(window: np.ndarray):
@@ -143,7 +146,7 @@ def zeta_partial(z: complex, n: int) -> complex:
     z = _require_finite(z)
     n = _require_n(n)
     _check_overflow(z, n)
-    values, _ = _partial_sums(z, n, marks=(n,))
+    values, _, _ = _partial_sums(z, n, marks=(n,))
     return complex(values[0])
 
 
@@ -152,7 +155,7 @@ def eta_partial(z: complex, n: int) -> complex:
     z = _require_finite(z)
     n = _require_n(n)
     _check_overflow(z, n)
-    values, _ = _partial_sums(z, n, marks=(n,), alternating=True)
+    values, _, _ = _partial_sums(z, n, marks=(n,), alternating=True)
     return complex(values[0])
 
 
@@ -176,7 +179,7 @@ def zeta_hat_regularized(
     if abs(z - 1.0) <= guard_radius:
         raise SingularityError(f"regularized sum undefined at z={z!r} (division by 1-z)")
     _check_overflow(z, n)
-    values, _ = _partial_sums(z, n, marks=(n,))
+    values, _, _ = _partial_sums(z, n, marks=(n,))
     return complex(values[0] - _regularization_tail(z, n))
 
 
@@ -196,7 +199,7 @@ def zeta_hat_regularized_schedule(
     if abs(z - 1.0) <= guard_radius:
         raise SingularityError(f"regularized sum undefined at z={z!r} (division by 1-z)")
     _check_overflow(z, marks[-1])
-    values, _ = _partial_sums(z, marks[-1], marks=tuple(marks))
+    values, _, _ = _partial_sums(z, marks[-1], marks=tuple(marks))
     return [complex(s - _regularization_tail(z, m)) for m, s in zip(marks, values)]
 
 
@@ -225,15 +228,12 @@ def zeta_hat_eta(z: complex, config: EvalConfig) -> SeriesValue:
     prefactor = _eta_prefactor(z, config.guard_radius)
     n = config.n_terms
     order = min(config.accel_order, n - 1) if config.accelerate else 0
+    _, window, _ = _partial_sums(z, n, tail_keep=order + 1, alternating=True)
     if order > 0:
-        _, window = _partial_sums(z, n, tail_keep=order + 1, alternating=True)
-        sum_ld, correction = _tail_average(window)
-        value = complex(sum_ld / _LD(prefactor))
-        return SeriesValue(value, n, MODE_ETA_PREFACTORED, correction)
-    values, _ = _partial_sums(z, n, marks=(n,), alternating=True)
-    value = complex(values[0] / _LD(prefactor))
-    est = float((n + 1) ** (-z.real))
-    return SeriesValue(value, n, MODE_ETA_PREFACTORED, est)
+        sum_ld, est = _tail_average(window)
+    else:
+        sum_ld, est = window[-1], float((n + 1) ** (-z.real))
+    return SeriesValue(complex(sum_ld / _LD(prefactor)), n, "eta_prefactored", est)
 
 
 def zeta_hat_eta_with_derivative(z: complex, config: EvalConfig) -> tuple[complex, complex]:
@@ -249,36 +249,14 @@ def zeta_hat_eta_with_derivative(z: complex, config: EvalConfig) -> tuple[comple
     prefactor = _eta_prefactor(z, config.guard_radius)
     n = config.n_terms
     order = min(config.accel_order, n - 1) if config.accelerate else 0
-    tail_keep = order + 1
-
-    zc = complex(z)
-    carry = _LD(0.0)
-    dcarry = _LD(0.0)
-    tail = None
-    dtail = None
-    for k0 in range(1, n + 1, _CHUNK):
-        k1 = min(k0 + _CHUNK, n + 1)
-        k = np.arange(k0, k1, dtype=np.float64)
-        log_k = np.log(k)
-        terms = np.exp(-zc * log_k)
-        first_even = 0 if k0 % 2 == 0 else 1
-        terms[first_even::2] *= -1.0
-        sums = carry + np.cumsum(terms, dtype=_LD)
-        dsums = dcarry + np.cumsum(terms * (-log_k), dtype=_LD)
-        carry = sums[-1]
-        dcarry = dsums[-1]
-        if tail is None or len(sums) >= tail_keep:
-            tail = sums[-tail_keep:]
-            dtail = dsums[-tail_keep:]
-        else:
-            tail = np.concatenate([tail, sums])[-tail_keep:]
-            dtail = np.concatenate([dtail, dsums])[-tail_keep:]
-
+    _, tail, dtail = _partial_sums(
+        z, n, tail_keep=order + 1, alternating=True, derivative=True
+    )
     eta_sum, _ = _tail_average(tail)
     eta_deriv, _ = _tail_average(dtail)
     pref_ld = _LD(prefactor)
     # d/dz [1 - 2^(1-z)] = ln 2 * 2^(1-z)
-    dpref_ld = _LD(math.log(2.0) * 2.0 ** (1.0 - zc))
+    dpref_ld = _LD(math.log(2.0) * 2.0 ** (1.0 - z))
     value = eta_sum / pref_ld
     deriv = eta_deriv / pref_ld - eta_sum * dpref_ld / (pref_ld * pref_ld)
     return complex(value), complex(deriv)
@@ -293,7 +271,8 @@ def identity_residual_plain(z: complex, n: int) -> float:
     z = _require_finite(z)
     n = _require_n(n)
     xi = eta_partial(z, 2 * n)
-    rhs = zeta_partial(z, 2 * n) - 2.0 ** (1.0 - z) * zeta_partial(z, n)
+    (zeta_n, zeta_2n), _, _ = _partial_sums(z, 2 * n, marks=(n, 2 * n))
+    rhs = complex(zeta_2n) - 2.0 ** (1.0 - z) * complex(zeta_n)
     return abs(xi - rhs)
 
 
@@ -308,7 +287,6 @@ def identity_residual_regularized(
     z = _require_finite(z)
     n = _require_n(n)
     xi = eta_partial(z, 2 * n)
-    rhs = zeta_hat_regularized(z, 2 * n, guard_radius) - 2.0 ** (1.0 - z) * zeta_hat_regularized(
-        z, n, guard_radius
-    )
+    zhat_n, zhat_2n = zeta_hat_regularized_schedule(z, [n, 2 * n], guard_radius)
+    rhs = zhat_2n - 2.0 ** (1.0 - z) * zhat_n
     return abs(xi - rhs)

@@ -24,7 +24,6 @@ from .errors import (
     ParseError,
     WindowTooCoarse,
 )
-from .reporting import ordered_map
 from .series import zeta_hat_eta, zeta_hat_eta_with_derivative
 
 #: Grid minima of |zhat| on the critical line below this value seed a
@@ -158,9 +157,7 @@ def scan_zeros(window: ScanWindow, config: EvalConfig) -> list[ZeroRecord]:
 
     count = int(math.floor((window.t_max - window.t_min) / window.step + 1e-9)) + 1
     grid = [window.t_min + i * window.step for i in range(count)]
-    mags = ordered_map(
-        lambda t: abs(zeta_hat_eta(complex(0.5, t), config).value), grid
-    )
+    mags = [abs(zeta_hat_eta(complex(0.5, t), config).value) for t in grid]
 
     seeds = [
         grid[i]

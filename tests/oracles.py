@@ -49,6 +49,23 @@ ZETA_SAMPLES = [
     (complex(0.9, -27.5), complex(2.1538047151732932, -0.19681047135435951)),
 ]
 
+# zeta(s) and zeta'(s): one point at the first zero, and two beyond the
+# |Im s| range of ZETA_SAMPLES
+ZETA_DERIV_SAMPLES = [
+    (complex(0.5, 14.134725141734695),
+     complex(-1.0483650805588237e-16, 6.5852592776051578e-16),
+     complex(0.78329651186703112, 0.12469982974817057)),
+    (complex(0.25, 40.0),
+     complex(0.73440570416795184, -1.5656813889303969),
+     complex(0.30321399160920767, 2.6118875624984071)),
+    (complex(0.8, 95.0),
+     complex(0.38135486260134340, 0.047062918902477926),
+     complex(0.24242404320624285, -0.28982432087742234)),
+    (complex(0.5, 3.0),
+     complex(0.53273667097423288, -0.078896513425833383),
+     complex(0.19175988409272137, -0.073135728865928932)),
+]
+
 # term-by-term high-precision summation, sum_{k<=1000} k^(-(0.5+14.134725i))
 ZETA_PARTIAL_Z1 = complex(0.5, 14.134725)
 ZETA_PARTIAL_Z1_N1000 = complex(-0.64438005252649494, -2.1415757099559568)
@@ -135,6 +152,10 @@ def _regenerate(write_table: str | None) -> None:
     print("ZETA_THREE =", f(mp.zeta(3)))
     for z, _ in ZETA_SAMPLES:
         print("   zeta", cpair(mp.mpc(z)), "->", cpair(mp.zeta(mp.mpc(z))))
+    for z, _, _ in ZETA_DERIV_SAMPLES:
+        s = mp.mpc(z)
+        print("   zeta, zeta'", cpair(s), "->", cpair(mp.zeta(s)),
+              cpair(mp.zeta(s, derivative=1)))
 
     z1 = mp.mpc('0.5', '14.134725')
     print("ZETA_PARTIAL_Z1_N1000 =",

@@ -210,6 +210,21 @@ class TestDoublingCommand:
         ], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [
+        ["--n", "5000"],
+        ["--accelerate"],
+        ["--accel-order", "30"],
+        ["--hl-constant", "3"],
+        ["--guard-radius", "1e-3"],
+        ["--tolerance", "1e-8"],
+    ])
+    def test_evaluation_config_flags_are_usage_errors(self, capsys, flag):
+        # the experiment always sums plainly with the fixed plain config, so
+        # these flags would be echoed in the report without taking effect
+        code, _, err = run_cli(["doubling", "--zero-index", "1", *flag], capsys)
+        assert code == 2
+        assert flag[0] in err
+
 
 class TestErrscanCommand:
     def test_critical_line_slope(self, capsys, tmp_path):
@@ -269,17 +284,6 @@ class TestDeterminism:
             ], capsys)
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
-class TestThreadCap:
-    def test_threaded_run_matches_serial(self, capsys, tmp_path, monkeypatch):
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        args = ["residual", "--rcount", "3", "--icount", "3", "--imax", "10"]
-        assert run_cli(args + ["--out", str(serial)], capsys)[0] == 0
-        monkeypatch.setenv("CSL_THREADS", "4")
-        assert run_cli(args + ["--out", str(threaded)], capsys)[0] == 0
-        assert serial.read_bytes() == threaded.read_bytes()
 
 
 def test_console_script_entry_point():

@@ -14,10 +14,13 @@ from zetalab import (
     identity_residual_plain,
     identity_residual_regularized,
     zeta_hat_eta,
+    zeta_hat_eta_with_derivative,
     zeta_hat_regularized,
     zeta_hat_regularized_schedule,
     zeta_partial,
 )
+
+from zetalab.series import _partial_sums
 
 import oracles
 
@@ -137,6 +140,36 @@ class TestZetaHatEta:
     def test_accel_order_capped_by_config(self):
         with pytest.raises(ConfigError):
             EvalConfig(n_terms=10, accel_order=20)
+
+
+class TestZetaHatEtaWithDerivative:
+    # 2^19 + 5 terms end in a 5-term chunk, shorter than the 41-sum averaging
+    # window, so the window is stitched across the chunk boundary
+    @pytest.mark.parametrize("n", [10_000, (1 << 19) + 5])
+    def test_against_zeta_and_derivative_oracle(self, n):
+        config = EvalConfig(n_terms=n)
+        for z, zeta, dzeta in oracles.ZETA_DERIV_SAMPLES:
+            value, deriv = zeta_hat_eta_with_derivative(z, config)
+            # zeta vanishes at the first sample, so its error is scaled by
+            # max(1, |zeta|)
+            assert abs(value - zeta) <= 1e-10 * max(1.0, abs(zeta)), (z, n)
+            assert abs(deriv - dzeta) <= 1e-10 * abs(dzeta), (z, n)
+            assert value == zeta_hat_eta(z, config).value, (z, n)
+
+    def test_tail_window_stitched_across_chunk_boundary(self):
+        # the 41-sum window at n = 2^19 + 5 takes 36 sums from the first
+        # chunk and 5 from the second; the oracle errors above cannot tell
+        # a correctly stitched window from the 5-sum one
+        z = complex(0.5, 3.0)
+        n = (1 << 19) + 5
+        values, tail, dtail = _partial_sums(
+            z, n, marks=tuple(range(n - 40, n + 1)), tail_keep=41,
+            alternating=True, derivative=True,
+        )
+        _, _, head = _partial_sums(z, 1 << 19, tail_keep=36, alternating=True, derivative=True)
+        _, _, end = _partial_sums(z, n, tail_keep=5, alternating=True, derivative=True)
+        assert np.array_equal(tail, np.array(values))
+        assert np.array_equal(dtail, np.concatenate([head, end]))
 
 
 class TestIdentities:
