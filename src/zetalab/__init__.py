@@ -9,11 +9,11 @@ emits deterministic JSON and CSV reports.
 
 from .config import DEFAULT_CONFIG, DEFAULT_GUARD_RADIUS, PLAIN_CONFIG, EvalConfig
 from .errors import (
+    BracketError,
     BudgetError,
     ConfigError,
     DivisionByNearZero,
     DomainError,
-    EscapedStrip,
     InsufficientDomain,
     NoConvergence,
     NonMonotonicError,
@@ -47,7 +47,6 @@ from .series import (
     identity_residual_plain,
     identity_residual_regularized,
     zeta_hat_eta,
-    zeta_hat_eta_with_derivative,
     zeta_hat_regularized,
     zeta_hat_regularized_schedule,
     zeta_partial,
@@ -59,6 +58,7 @@ from .zeros import (
     ScanWindow,
     ZeroRecord,
     crosscheck_zeros,
+    hardy_z,
     load_zero_table,
     reference_table_path,
     refine_zero,
@@ -68,6 +68,7 @@ from .zeros import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BracketError",
     "BudgetError",
     "ConfigError",
     "CrosscheckReport",
@@ -76,7 +77,6 @@ __all__ = [
     "DOUBLING_BUDGET",
     "DivisionByNearZero",
     "DomainError",
-    "EscapedStrip",
     "EvalConfig",
     "InsufficientDomain",
     "MatchedPair",
@@ -106,6 +106,7 @@ __all__ = [
     "h_doubling",
     "h_factor",
     "h_ratio_finite",
+    "hardy_z",
     "identity_residual_plain",
     "identity_residual_regularized",
     "load_zero_table",
@@ -117,7 +118,6 @@ __all__ = [
     "tail_count",
     "zeta_hat_doubling",
     "zeta_hat_eta",
-    "zeta_hat_eta_with_derivative",
     "zeta_hat_regularized",
     "zeta_hat_regularized_schedule",
     "zeta_partial",

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .config import PLAIN_CONFIG, EvalConfig
+from .config import DEFAULT_CONFIG, PLAIN_CONFIG, EvalConfig
 from .errors import ZetaLabError
 from .experiments import (
     DOUBLING_BUDGET,
@@ -94,35 +94,42 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, accelerate_default: bool) -> None:
+#: Evaluation-config flags by EvalConfig field: (flag, dest, argparse keywords).
+_CONFIG_FLAGS = {
+    "n_terms": ("--n", "n", dict(type=_positive_int,
+                                 help="series truncation index (default %(default)s)")),
+    "accelerate": ("--no-accelerate", "accelerate", dict(
+        action="store_false", help="disable tail averaging (plain partial sums)")),
+    "accel_order": ("--accel-order", "accel_order", dict(
+        type=_positive_int, help="tail-averaging depth (default %(default)s)")),
+    "hl_constant": ("--hl-constant", "hl_constant", dict(
+        type=float, help="validity constant C > 1 in |Im z| <= 2*pi*n/C (default %(default)s)")),
+    "guard_radius": ("--guard-radius", "guard_radius", dict(
+        type=float, help="singularity guard radius (default %(default)s)")),
+    "tolerance": ("--tolerance", "tolerance", dict(
+        type=float, help="zero-refinement residual tolerance (default %(default)s)")),
+}
+
+#: The fields that the series evaluations of eval and residual read.
+_SERIES_FIELDS = ("n_terms", "accelerate", "accel_order", "guard_radius")
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, base: EvalConfig, *fields: str) -> None:
+    """Register the flags of the config fields a command reads.
+
+    The command's config takes the other fields from ``base``, so no flag is
+    accepted, and echoed in the report, without taking effect.
+    """
     group = parser.add_argument_group("evaluation config")
-    group.add_argument("--n", type=_positive_int, default=10_000,
-                       help="series truncation index (default %(default)s)")
-    if accelerate_default:
-        group.add_argument("--no-accelerate", dest="accelerate", action="store_false",
-                           help="disable tail averaging (plain partial sums)")
-    else:
-        group.add_argument("--accelerate", dest="accelerate", action="store_true",
-                           help="enable tail averaging of the alternating series")
-    parser.set_defaults(accelerate=accelerate_default)
-    group.add_argument("--accel-order", type=_positive_int, default=40,
-                       help="tail-averaging depth (default %(default)s)")
-    group.add_argument("--hl-constant", type=float, default=2.0,
-                       help="validity constant C > 1 in |Im z| <= 2*pi*n/C (default %(default)s)")
-    group.add_argument("--guard-radius", type=float, default=1e-6,
-                       help="singularity guard radius (default %(default)s)")
-    group.add_argument("--tolerance", type=float, default=1e-10,
-                       help="refinement/residual tolerance (default %(default)s)")
+    for field in fields:
+        flag, dest, kwargs = _CONFIG_FLAGS[field]
+        group.add_argument(flag, dest=dest, default=getattr(base, field), **kwargs)
+    parser.set_defaults(config_base=base, config_fields=fields)
 
 
 def _config_from(args) -> EvalConfig:
-    return EvalConfig(
-        n_terms=args.n,
-        accelerate=args.accelerate,
-        accel_order=args.accel_order,
-        hl_constant=args.hl_constant,
-        guard_radius=args.guard_radius,
-        tolerance=args.tolerance,
+    return args.config_base.replace(
+        **{field: getattr(args, _CONFIG_FLAGS[field][1]) for field in args.config_fields}
     )
 
 
@@ -441,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="evaluation point, e.g. 0.5+14.134725i")
     p_eval.add_argument("--format", choices=("json", "text"), default="json")
     p_eval.add_argument("--out", default=None, help="write the report here instead of stdout")
-    _add_config_flags(p_eval, accelerate_default=True)
+    _add_config_flags(p_eval, DEFAULT_CONFIG, *_SERIES_FIELDS)
     p_eval.set_defaults(handler=cmd_eval)
 
     p_res = sub.add_parser("residual", help="functional-equation residual over a strip grid")
@@ -454,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--tol", type=float, default=1e-8,
                        help="max-residual pass threshold (default %(default)s)")
     p_res.add_argument("--out", default="residual_report.csv")
-    _add_config_flags(p_res, accelerate_default=True)
+    _add_config_flags(p_res, DEFAULT_CONFIG, *_SERIES_FIELDS)
     p_res.set_defaults(handler=cmd_residual)
 
     p_zeros = sub.add_parser("zeros", help="scan a critical-line window for zeros")
@@ -465,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="zero table to crosscheck (one ordinate per line)")
     p_zeros.add_argument("--match-tol", type=float, default=1e-6)
     p_zeros.add_argument("--out", default=None, help="write the report here instead of stdout")
-    _add_config_flags(p_zeros, accelerate_default=True)
+    _add_config_flags(p_zeros, DEFAULT_CONFIG,
+                      "n_terms", "accel_order", "guard_radius", "tolerance")
     p_zeros.set_defaults(handler=cmd_zeros)
 
     # no abbreviations, so that a stray evaluation-config flag such as --n is
@@ -488,7 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_err.add_argument("--nmax", type=_positive_int, default=65536)
     p_err.add_argument("--csv", default=None, help="also write (n, error) pairs as CSV")
     p_err.add_argument("--out", default=None, help="write the report here instead of stdout")
-    _add_config_flags(p_err, accelerate_default=False)
+    # the reference evaluation is always accelerated
+    _add_config_flags(p_err, PLAIN_CONFIG,
+                      "n_terms", "accel_order", "hl_constant", "guard_radius")
     p_err.set_defaults(handler=cmd_errscan)
 
     return parser

@@ -20,7 +20,7 @@ class EvalConfig:
     accel_order   averaging depth (number of pairwise-averaging rounds)
     hl_constant   the constant C > 1 in the validity bound |Im z| <= 2*pi*n/C
     guard_radius  rejection radius around singular points
-    tolerance     residual target for zero refinement and report checks
+    tolerance     bound on |zhat| at refined zeros
     """
 
     n_terms: int = 10_000

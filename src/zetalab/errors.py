@@ -43,8 +43,8 @@ class NoConvergence(ZetaLabError):
     """Iterative refinement failed to reach its residual target."""
 
 
-class EscapedStrip(NoConvergence):
-    """A Newton iterate left the critical strip 0 < Re z < 1."""
+class BracketError(ZetaLabError, ValueError):
+    """A root-finding bracket does not enclose a sign change."""
 
 
 class ParseError(ZetaLabError, ValueError):

@@ -69,41 +69,28 @@ def _check_overflow(z: complex, n: int) -> None:
         raise OverflowError(f"terms of k^(-{z!r}) overflow double range at n={n}")
 
 
-def _keep_tail(tail, sums: np.ndarray, keep: int):
-    # the last ``keep`` running sums once the chunk ``sums`` is appended,
-    # copied so that the chunk itself can be freed
-    if tail is None or len(sums) >= keep:
-        return sums[-keep:].copy()
-    return np.concatenate([tail, sums])[-keep:]
-
-
 def _partial_sums(
     z: complex,
     n: int,
     marks: tuple[int, ...] = (),
     tail_keep: int = 0,
     alternating: bool = False,
-    derivative: bool = False,
 ):
     """Stream the ascending partial sums of k^(-z) (optionally signed).
 
-    Returns (values, tail, dtail) where ``values[i]`` is the partial sum at
+    Returns (values, tail) where ``values[i]`` is the partial sum at
     ``marks[i]`` (marks must be sorted, each in [1, n]) and ``tail`` holds the
     last ``tail_keep`` partial sums S_{n-tail_keep+1} .. S_n, all in extended
-    precision.  With ``derivative`` the term-wise derivative series, terms
-    -ln k * k^(-z) with the same signs, is accumulated alongside and
-    ``dtail`` holds its last ``tail_keep`` partial sums; otherwise it is None.
+    precision.
     """
     zc = complex(z)
     values = []
-    tail = dtail = None
-    carry = dcarry = _LD(0.0)
+    tail = None
+    carry = _LD(0.0)
     mark_idx = 0
     for k0 in range(1, n + 1, _CHUNK):
         k1 = min(k0 + _CHUNK, n + 1)
         k = np.arange(k0, k1, dtype=np.float64)
-        # ln k is recomputed for the derivative rather than kept alive across
-        # the chunk, which would raise the peak memory of the plain stream
         terms = np.exp(-zc * np.log(k))
         if alternating:
             first_even = 0 if k0 % 2 == 0 else 1
@@ -114,13 +101,12 @@ def _partial_sums(
             mark_idx += 1
         carry = sums[-1]
         if tail_keep:
-            tail = _keep_tail(tail, sums, tail_keep)
-        if derivative:
-            dsums = dcarry + np.cumsum(terms * -np.log(k), dtype=_LD)
-            dcarry = dsums[-1]
-            if tail_keep:
-                dtail = _keep_tail(dtail, dsums, tail_keep)
-    return values, tail, dtail
+            # copied, so that the chunk itself can be freed
+            if tail is None or len(sums) >= tail_keep:
+                tail = sums[-tail_keep:].copy()
+            else:
+                tail = np.concatenate([tail, sums])[-tail_keep:]
+    return values, tail
 
 
 def _tail_average(window: np.ndarray):
@@ -146,7 +132,7 @@ def zeta_partial(z: complex, n: int) -> complex:
     z = _require_finite(z)
     n = _require_n(n)
     _check_overflow(z, n)
-    values, _, _ = _partial_sums(z, n, marks=(n,))
+    values, _ = _partial_sums(z, n, marks=(n,))
     return complex(values[0])
 
 
@@ -155,7 +141,7 @@ def eta_partial(z: complex, n: int) -> complex:
     z = _require_finite(z)
     n = _require_n(n)
     _check_overflow(z, n)
-    values, _, _ = _partial_sums(z, n, marks=(n,), alternating=True)
+    values, _ = _partial_sums(z, n, marks=(n,), alternating=True)
     return complex(values[0])
 
 
@@ -179,7 +165,7 @@ def zeta_hat_regularized(
     if abs(z - 1.0) <= guard_radius:
         raise SingularityError(f"regularized sum undefined at z={z!r} (division by 1-z)")
     _check_overflow(z, n)
-    values, _, _ = _partial_sums(z, n, marks=(n,))
+    values, _ = _partial_sums(z, n, marks=(n,))
     return complex(values[0] - _regularization_tail(z, n))
 
 
@@ -199,7 +185,7 @@ def zeta_hat_regularized_schedule(
     if abs(z - 1.0) <= guard_radius:
         raise SingularityError(f"regularized sum undefined at z={z!r} (division by 1-z)")
     _check_overflow(z, marks[-1])
-    values, _, _ = _partial_sums(z, marks[-1], marks=tuple(marks))
+    values, _ = _partial_sums(z, marks[-1], marks=tuple(marks))
     return [complex(s - _regularization_tail(z, m)) for m, s in zip(marks, values)]
 
 
@@ -228,38 +214,12 @@ def zeta_hat_eta(z: complex, config: EvalConfig) -> SeriesValue:
     prefactor = _eta_prefactor(z, config.guard_radius)
     n = config.n_terms
     order = min(config.accel_order, n - 1) if config.accelerate else 0
-    _, window, _ = _partial_sums(z, n, tail_keep=order + 1, alternating=True)
+    _, window = _partial_sums(z, n, tail_keep=order + 1, alternating=True)
     if order > 0:
         sum_ld, est = _tail_average(window)
     else:
         sum_ld, est = window[-1], float((n + 1) ** (-z.real))
     return SeriesValue(complex(sum_ld / _LD(prefactor)), n, "eta_prefactored", est)
-
-
-def zeta_hat_eta_with_derivative(z: complex, config: EvalConfig) -> tuple[complex, complex]:
-    """(zhat(z), d zhat/dz) via the term-wise differentiated alternating series.
-
-    d/dz k^(-z) = -ln k * k^(-z); the differentiated series is alternating
-    with smooth terms as well, so the same tail averaging applies.  Used by
-    Newton refinement of zeros.
-    """
-    z = _require_finite(z)
-    if z.real <= 0.0:
-        raise DomainError(f"alternating-series evaluation requires Re z > 0, got {z!r}")
-    prefactor = _eta_prefactor(z, config.guard_radius)
-    n = config.n_terms
-    order = min(config.accel_order, n - 1) if config.accelerate else 0
-    _, tail, dtail = _partial_sums(
-        z, n, tail_keep=order + 1, alternating=True, derivative=True
-    )
-    eta_sum, _ = _tail_average(tail)
-    eta_deriv, _ = _tail_average(dtail)
-    pref_ld = _LD(prefactor)
-    # d/dz [1 - 2^(1-z)] = ln 2 * 2^(1-z)
-    dpref_ld = _LD(math.log(2.0) * 2.0 ** (1.0 - z))
-    value = eta_sum / pref_ld
-    deriv = eta_deriv / pref_ld - eta_sum * dpref_ld / (pref_ld * pref_ld)
-    return complex(value), complex(deriv)
 
 
 def identity_residual_plain(z: complex, n: int) -> float:
@@ -271,7 +231,7 @@ def identity_residual_plain(z: complex, n: int) -> float:
     z = _require_finite(z)
     n = _require_n(n)
     xi = eta_partial(z, 2 * n)
-    (zeta_n, zeta_2n), _, _ = _partial_sums(z, 2 * n, marks=(n, 2 * n))
+    (zeta_n, zeta_2n), _ = _partial_sums(z, 2 * n, marks=(n, 2 * n))
     rhs = complex(zeta_2n) - 2.0 ** (1.0 - z) * complex(zeta_n)
     return abs(xi - rhs)
 

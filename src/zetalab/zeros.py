@@ -1,8 +1,11 @@
 """Locating nontrivial zeros rho = 1/2 + i t on the critical line.
 
-A grid scan of |zhat(1/2 + i t)| seeds Newton refinements at local minima;
-refined ordinates are deduplicated and cross-checkable against externally
-ingested reference tables (one decimal ordinate per line, '#' comments).
+On the line, Hardy's function Z(t) = exp(i theta(t)) zeta(1/2 + i t) is real
+with |Z(t)| = |zeta(1/2 + i t)|, so every zero of odd order is a sign change
+of Z (Edwards, *Riemann's Zeta Function*, ch. 6-7).  A grid scan brackets the
+sign changes and each bracket is refined by the Illinois variant of regula
+falsi.  Found zeros are cross-checkable against externally ingested
+reference tables (one decimal ordinate per line, '#' comments).
 
 The search is restricted to the critical line: the experiments need known
 zeros, and every verified zero lies there.
@@ -10,6 +13,7 @@ zeros, and every verified zero lies there.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -17,29 +21,23 @@ from pathlib import Path
 
 from .config import EvalConfig
 from .errors import (
+    BracketError,
     ConfigError,
-    EscapedStrip,
     NoConvergence,
     NonMonotonicError,
     ParseError,
     WindowTooCoarse,
 )
-from .series import zeta_hat_eta, zeta_hat_eta_with_derivative
+from .series import zeta_hat_eta
+from .special_functions import LN_PI, log_gamma
 
-#: Grid minima of |zhat| on the critical line below this value seed a
-#: refinement.  Between consecutive zeros at t <= 100 the local minima of
-#: |zhat| stay well above it, while a 0.05-step grid lands within ~0.15 of
-#: every zero ordinate.
-COARSE_THRESHOLD = 0.35
-
-#: Ordinates closer than this are considered the same zero (distinct zeros
-#: below t = 100 are separated by >= 0.8).
-DEDUP_RADIUS = 1e-6
-
-#: Scan steps above this risk skipping zeros below t = 100.
+#: Scan steps above this risk skipping zeros below t = 100: two zeros inside
+#: one step cancel each other's sign change.
 MAX_SCAN_STEP = 0.5
 
-MAX_NEWTON_ITERATIONS = 50
+#: Bound on the refinement iterations of one bracket; Illinois steps converge
+#: superlinearly, so a 0.05-wide bracket needs about five.
+MAX_REFINE_ITERATIONS = 60
 
 
 @dataclass(frozen=True)
@@ -63,11 +61,12 @@ class ScanWindow:
 
 @dataclass(frozen=True)
 class ZeroRecord:
-    """A refined zero: rho = 1/2 + i * ordinate.
+    """A located zero: rho = 1/2 + i * ordinate.
 
     ``index`` is the 1-based position by increasing ordinate within one scan
     result (0 for a standalone refinement); ``residual_mag`` is |zhat(rho)|
-    re-evaluated at the reported ordinate.
+    at the reported ordinate; ``refined`` is False only for a scan grid point
+    where Z is exactly 0.
     """
 
     index: int
@@ -96,56 +95,84 @@ class CrosscheckReport:
     tolerance: float
 
 
-def refine_zero(t_seed: float, config: EvalConfig) -> ZeroRecord:
-    """Newton-refine a seed ordinate to a zero of zhat on the critical line.
+def _evaluate(t: float, config: EvalConfig) -> tuple[float, float]:
+    """(Z(t), |zhat(1/2 + i t)|) from one series evaluation.
 
-    Iterates w <- w - zhat(w)/zhat'(w) in the complex plane, the derivative
-    coming from the term-wise differentiated (and equally accelerated)
-    alternating series, then projects back to Re w = 1/2 to report the
-    ordinate.  Stops when |zhat| <= tolerance/8 or raises NoConvergence after
-    50 iterations; raises EscapedStrip if an iterate leaves 0 < Re w < 1.
+    theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) ln pi.  ``log_gamma`` fixes
+    that branch only up to 2*pi*i, which leaves exp(i theta) unchanged; any
+    phase error e scales Re(exp(i e) Z) = Z cos e, so it cannot move a root.
     """
-    w = complex(0.5, float(t_seed))
-    target = config.tolerance
-    converged = False
-    for _ in range(MAX_NEWTON_ITERATIONS):
-        f, df = zeta_hat_eta_with_derivative(w, config)
-        if abs(f) <= target / 8.0:
-            converged = True
-            break
-        if df == 0:
-            raise NoConvergence(f"zero derivative at {w!r}")
-        w = w - f / df
-        if not 0.0 < w.real < 1.0:
-            raise EscapedStrip(f"Newton iterate left the strip at {w!r} (seed t={t_seed})")
-    if not converged:
-        raise NoConvergence(f"no zero within {MAX_NEWTON_ITERATIONS} iterations from t={t_seed}")
+    value = zeta_hat_eta(complex(0.5, t), config).value
+    theta = log_gamma(complex(0.25, 0.5 * t)).imag - 0.5 * t * LN_PI
+    return (cmath.exp(1j * theta) * value).real, abs(value)
 
-    ordinate = w.imag
-    residual = abs(zeta_hat_eta(complex(0.5, ordinate), config).value)
-    for _ in range(3):
-        # polish along the line if projecting Re -> 1/2 pushed |zhat| back up
-        if residual <= target:
-            break
-        f, df = zeta_hat_eta_with_derivative(complex(0.5, ordinate), config)
-        if df == 0:
-            break
-        ordinate += (1j * f / df).real
-        residual = abs(zeta_hat_eta(complex(0.5, ordinate), config).value)
-    if residual > target:
+
+def hardy_z(t: float, config: EvalConfig) -> float:
+    """Hardy's Z(t) = Re(exp(i theta(t)) zhat(1/2 + i t)), real on the line."""
+    return _evaluate(float(t), config)[0]
+
+
+def _checked(t: float, residual: float, config: EvalConfig, where: str,
+             refined: bool) -> ZeroRecord:
+    if residual > config.tolerance:
         raise NoConvergence(
-            f"residual {residual:.3e} above tolerance {target:.1e} after projection (t={t_seed})"
+            f"|zhat| = {residual:.3e} above tolerance {config.tolerance:.1e} at t={t!r} "
+            f"({where}); the evaluation config is too weak for this zero"
         )
-    return ZeroRecord(index=0, ordinate=ordinate, residual_mag=residual, refined=True)
+    return ZeroRecord(index=0, ordinate=t, residual_mag=residual, refined=refined)
+
+
+def refine_zero(t_lo: float, t_hi: float, config: EvalConfig, *,
+                z_lo: float | None = None, z_hi: float | None = None) -> ZeroRecord:
+    """Refine the zero inside a sign-change bracket [t_lo, t_hi] of Z.
+
+    ``z_lo`` and ``z_hi`` are Z at the ends when the caller already has them;
+    otherwise they are evaluated.  Illinois iterations (regula falsi that
+    halves the value kept at a stale end) run until consecutive iterates are
+    within four ulps or Z is exactly 0.  The reported ordinate is the last
+    iterate, so it lies in the bracket, and ``residual_mag`` is |zhat| there.
+
+    Raises BracketError unless Z(t_lo) and Z(t_hi) have strictly opposite
+    signs, and NoConvergence, naming the bracket, if |zhat| at the result is
+    above ``config.tolerance``: a sign change is a zero, so only a config too
+    weak to resolve it can fail here.
+    """
+    t_lo, t_hi = float(t_lo), float(t_hi)
+    if not t_lo < t_hi:
+        raise BracketError(f"bracket [{t_lo}, {t_hi}] is empty")
+    if z_lo is None:
+        z_lo = hardy_z(t_lo, config)
+    if z_hi is None:
+        z_hi = hardy_z(t_hi, config)
+    if not z_lo * z_hi < 0.0:
+        raise BracketError(
+            f"Z has no sign change on [{t_lo}, {t_hi}]: Z = {z_lo:.3e}, {z_hi:.3e}"
+        )
+
+    xtol = 4.0 * math.ulp(max(abs(t_lo), abs(t_hi)))
+    a, fa, b, fb = t_lo, z_lo, t_hi, z_hi
+    for _ in range(MAX_REFINE_ITERATIONS):
+        t = b - fb * (b - a) / (fb - fa)
+        z, residual = _evaluate(t, config)
+        if z * fb < 0.0:
+            a, fa = b, fb
+        else:
+            fa *= 0.5
+        step = abs(t - b)
+        b, fb = t, z
+        if z == 0.0 or step <= xtol:
+            break
+    return _checked(b, residual, config, f"bracket [{t_lo}, {t_hi}]", refined=True)
 
 
 def scan_zeros(window: ScanWindow, config: EvalConfig) -> list[ZeroRecord]:
     """Find all critical-line zeros inside the window.
 
-    Evaluates |zhat(1/2 + i t)| on the grid, refines every interior local
-    minimum below COARSE_THRESHOLD, then deduplicates, clips to the window,
-    and returns records ordered (and 1-indexed) by ordinate.  Seeds whose
-    refinement fails to converge are dropped: they were not zeros.
+    Evaluates Z on a grid from t_min to exactly t_max with spacing at most
+    ``step``, refines every strict sign change between neighbouring points,
+    and takes a grid point where Z is exactly 0 as a zero itself (with
+    ``refined`` False).  Records are ordered (and 1-indexed) by ordinate.
+    Any zero that fails the residual check raises NoConvergence.
     """
     if window.step > MAX_SCAN_STEP:
         raise WindowTooCoarse(
@@ -155,32 +182,20 @@ def scan_zeros(window: ScanWindow, config: EvalConfig) -> list[ZeroRecord]:
         raise ConfigError("scan_zeros needs an accelerated config; plain sums are too "
                           "slow to reach the refinement tolerance")
 
-    count = int(math.floor((window.t_max - window.t_min) / window.step + 1e-9)) + 1
-    grid = [window.t_min + i * window.step for i in range(count)]
-    mags = [abs(zeta_hat_eta(complex(0.5, t), config).value) for t in grid]
-
-    seeds = [
-        grid[i]
-        for i in range(1, len(grid) - 1)
-        if mags[i] < COARSE_THRESHOLD and mags[i] <= mags[i - 1] and mags[i] <= mags[i + 1]
-    ]
+    # a width within rounding of a multiple of step gets no near-duplicate
+    # last point
+    intervals = math.ceil((window.t_max - window.t_min) / window.step - 1e-9)
+    grid = [window.t_min + i * window.step for i in range(intervals)] + [window.t_max]
+    samples = [_evaluate(t, config) for t in grid]
 
     found: list[ZeroRecord] = []
-    for seed in seeds:
-        try:
-            record = refine_zero(seed, config)
-        except NoConvergence:
-            continue
-        if window.t_min <= record.ordinate <= window.t_max:
-            found.append(record)
-
-    found.sort(key=lambda r: r.ordinate)
-    deduped: list[ZeroRecord] = []
-    for record in found:
-        if deduped and abs(record.ordinate - deduped[-1].ordinate) <= DEDUP_RADIUS:
-            continue
-        deduped.append(record)
-    return [replace(r, index=i) for i, r in enumerate(deduped, start=1)]
+    for i, (t, (z, residual)) in enumerate(zip(grid, samples)):
+        if z == 0.0:
+            found.append(_checked(t, residual, config, "grid point", refined=False))
+        elif i + 1 < len(grid) and z * samples[i + 1][0] < 0.0:
+            found.append(refine_zero(t, grid[i + 1], config,
+                                     z_lo=z, z_hi=samples[i + 1][0]))
+    return [replace(r, index=i) for i, r in enumerate(found, start=1)]
 
 
 def load_zero_table(path) -> list[float]:

@@ -117,6 +117,15 @@ ZERO_ORDINATES_FIRST10 = [
 # with the table above to all shown digits
 ZERO1_BISECTION = 14.1347251417346938
 
+# Hardy's Z(t) = exp(i theta(t)) zeta(1/2 + i t) (mpmath.siegelz), real on the
+# critical line, at points between zeros across the packaged table's range
+HARDY_Z_SAMPLES = [
+    (3.0, -0.53854713854170720),
+    (17.5, 2.3018457553350569),
+    (50.2, -0.66267143227814240),
+    (99.5, 2.0538064677010744),
+]
+
 # --- doubling constants at the first zero --------------------------------
 
 RHO1 = complex(0.5, 14.1347251417346938)
@@ -208,6 +217,9 @@ def _regenerate(write_table: str | None) -> None:
         else:
             b = mid
     print("ZERO1_BISECTION =", f((a + b) / 2, 18))
+
+    for t, _ in HARDY_Z_SAMPLES:
+        print("   siegelz", f(mp.mpf(t)), "->", f(mp.siegelz(mp.mpf(t))))
 
     rho1 = mp.zetazero(1)
     print("RHO1 =", cpair(rho1, 18))

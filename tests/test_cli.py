@@ -255,6 +255,28 @@ class TestErrscanCommand:
         assert "2*pi*n/C" in err
 
 
+class TestUnreadConfigFlags:
+    CASES = [
+        (["eval", "--z", "0.5+14i"], ["--hl-constant", "7"]),
+        (["eval", "--z", "0.5+14i"], ["--tolerance", "3"]),
+        (["residual"], ["--hl-constant", "3"]),
+        (["residual"], ["--tolerance", "1e-8"]),
+        (["zeros"], ["--hl-constant", "3"]),
+        (["zeros"], ["--no-accelerate"]),
+        (["errscan", "--z", "0.5+10i"], ["--accelerate"]),
+        (["errscan", "--z", "0.5+10i"], ["--tolerance", "1e-8"]),
+    ]
+
+    @pytest.mark.parametrize("args,flag", CASES,
+                             ids=[args[0] + flag[0] for args, flag in CASES])
+    def test_usage_error(self, capsys, tmp_path, args, flag):
+        # no command reads these config fields, so the flags would be echoed
+        # in the report's config block without taking effect
+        code, _, err = run_cli([*args, *flag, "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert flag[0] in err
+
+
 class TestDeterminism:
     @staticmethod
     def stable_sections(path):

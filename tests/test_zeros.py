@@ -1,21 +1,26 @@
+import math
+
 import pytest
 
 from zetalab import (
+    BracketError,
     ConfigError,
-    EscapedStrip,
     EvalConfig,
+    NoConvergence,
     NonMonotonicError,
     ParseError,
     ScanWindow,
     WindowTooCoarse,
     crosscheck_zeros,
     functional_equation_residual,
+    hardy_z,
     load_zero_table,
     reference_table_path,
     refine_zero,
     scan_zeros,
     zeta_hat_eta,
 )
+from zetalab import zeros
 from zetalab.zeros import ZeroRecord
 
 import oracles
@@ -82,29 +87,99 @@ class TestScan:
     def test_window_without_minimum_is_empty(self):
         assert scan_zeros(ScanWindow(19.0, 19.5, 0.05), ACCEL) == []
 
+    def test_ordinates_match_table_to_rounding(self, five_records):
+        table = load_zero_table(reference_table_path())
+        for record, expected in zip(five_records, table):
+            assert abs(record.ordinate - expected) <= 1e-12
+
+    @pytest.mark.parametrize("window", [ScanWindow(14.12, 20.0, 0.05),
+                                        ScanWindow(10.0, 14.14, 0.05)],
+                             ids=["first-step", "last-step"])
+    def test_zero_in_first_or_last_grid_step(self, window):
+        records = scan_zeros(window, ACCEL)
+        assert len(records) == 1
+        assert abs(records[0].ordinate - oracles.ZERO_ORDINATES_FIRST10[0]) <= 1e-12
+
     def test_scan_is_deterministic(self, five_records):
         again = scan_zeros(ScanWindow(10.0, 35.0, 0.05), ACCEL)
         assert again == five_records
 
 
 class TestRefine:
-    def test_from_nearby_seed(self):
-        record = refine_zero(14.1, ACCEL)
+    def test_from_bracket(self):
+        record = refine_zero(14.1, 14.2, ACCEL)
         assert abs(record.ordinate - oracles.ZERO_ORDINATES_FIRST10[0]) <= 1e-8
         assert record.refined
         assert record.residual_mag <= ACCEL.tolerance
         # agrees with the rotated-sign bisection oracle too
         assert abs(record.ordinate - oracles.ZERO1_BISECTION) <= 1e-8
 
-    def test_seed_at_exact_zero_converges_immediately(self):
-        record = refine_zero(oracles.ZERO_ORDINATES_FIRST10[1], ACCEL)
-        assert abs(record.ordinate - oracles.ZERO_ORDINATES_FIRST10[1]) <= 1e-10
+    def test_tight_bracket_around_zero(self):
+        t = oracles.ZERO_ORDINATES_FIRST10[1]
+        record = refine_zero(t - 1e-9, t + 1e-9, ACCEL)
+        assert abs(record.ordinate - t) <= 1e-10
 
-    def test_far_seed_escapes_strip(self):
-        # empirical basin behavior: from t = 13.0 the Newton step overshoots
-        # out of 0 < Re z < 1 rather than sliding to 14.1347
-        with pytest.raises(EscapedStrip):
-            refine_zero(13.0, ACCEL)
+    @pytest.mark.parametrize("t_lo,t_hi", [(13.0, 14.0), (14.2, 14.1), (14.1, 14.1)])
+    def test_bracket_without_sign_change_raises(self, t_lo, t_hi):
+        # Z < 0 on [13, 14]; the other two brackets are empty
+        with pytest.raises(BracketError) as info:
+            refine_zero(t_lo, t_hi, ACCEL)
+        assert isinstance(info.value, ValueError)
+
+    def test_weak_config_raises_and_names_the_bracket(self):
+        # with 80 terms zhat at t ~ 72 is too inaccurate for the residual
+        # check, so the sign change cannot be refined; it is not dropped
+        with pytest.raises(NoConvergence, match=r"bracket \[72\.05"):
+            scan_zeros(ScanWindow(70.0, 90.0, 0.05), EvalConfig(n_terms=80))
+
+
+class TestHardyZ:
+    @pytest.mark.parametrize("t,expected", oracles.HARDY_Z_SAMPLES)
+    def test_against_siegelz_oracle(self, t, expected):
+        assert abs(hardy_z(t, ACCEL) - expected) <= 1e-10 * max(1.0, abs(expected))
+
+
+class TestScanLogic:
+    # the grid and bracket bookkeeping, on a synthetic real function in place
+    # of Hardy's Z; its modulus stands in for |zhat|
+
+    @staticmethod
+    def synthetic(monkeypatch, f, seen=None):
+        def evaluate(t, config):
+            if seen is not None:
+                seen.append(t)
+            return f(t), abs(f(t))
+        monkeypatch.setattr(zeros, "_evaluate", evaluate)
+
+    @pytest.mark.parametrize("t_min,t_max,count", [
+        (10.0, 14.14, 84), (10.0, 30.0, 401), (12.3, 32.3, 401), (10.0, 10.07, 3),
+    ])
+    def test_grid_ends_at_t_max(self, monkeypatch, t_min, t_max, count):
+        seen = []
+        self.synthetic(monkeypatch, lambda t: 1.0, seen)
+        step = 0.05
+        assert scan_zeros(ScanWindow(t_min, t_max, step), ACCEL) == []
+        assert seen[0] == t_min and seen[-1] == t_max
+        assert len(seen) == count
+        assert all(0.0 < b - a <= step * (1 + 1e-9) for a, b in zip(seen, seen[1:]))
+
+    def test_refinement_is_not_one_sided_on_a_convex_function(self, monkeypatch):
+        # plain regula falsi keeps the end at t = 10 for good and creeps in
+        # from the left, exhausting the iteration bound
+        seen = []
+        self.synthetic(monkeypatch, math.expm1, seen)
+        record = refine_zero(-1.0, 10.0, ACCEL)
+        assert abs(record.ordinate) <= 1e-12
+        assert len(seen) <= 30
+
+    def test_exact_grid_zero_and_sign_change(self, monkeypatch):
+        # 12.5 = 10 + 50 * 0.05 exactly, so Z is 0.0 at that grid point
+        self.synthetic(monkeypatch, lambda t: (t - 12.5) * (t - 13.33))
+        records = scan_zeros(ScanWindow(10.0, 15.0, 0.05), ACCEL)
+        assert [r.index for r in records] == [1, 2]
+        assert records[0].ordinate == 12.5 and not records[0].refined
+        assert records[1].ordinate == pytest.approx(13.33, abs=1e-12)
+        assert records[1].refined
 
 
 class TestZeroTable:
