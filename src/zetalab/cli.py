@@ -8,9 +8,9 @@ Subcommands
     errscan   error-scaling scan with log-log slope fit
 
 Exit codes: 0 success, 1 tolerance/assertion or computation failure,
-2 usage/parse error.  Reports embed the full evaluation config; repeated runs
-with identical flags produce byte-identical results sections (timestamps are
-confined to the manifest).
+2 usage/parse error.  Reports embed the evaluation-config fields the command
+reads; repeated runs with identical flags produce byte-identical config and
+results sections (timestamps are confined to the manifest).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .config import DEFAULT_CONFIG, PLAIN_CONFIG, EvalConfig
@@ -58,23 +57,6 @@ _COMPLEX_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What was run: command, validated CLI parameters, timestamp, config."""
-
-    command: str
-    parameters: dict
-    timestamp: str
-    config: EvalConfig
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "timestamp": self.timestamp,
-        }
-
-
 def parse_complex(text: str) -> complex:
     """Parse the CLI complex literal 'a+bi' / 'a-bi' (decimal, no spaces)."""
     match = _COMPLEX_RE.match(text)
@@ -99,9 +81,8 @@ _CONFIG_FLAGS = {
     "n_terms": ("--n", "n", dict(type=_positive_int,
                                  help="series truncation index (default %(default)s)")),
     "accelerate": ("--no-accelerate", "accelerate", dict(
-        action="store_false", help="disable tail averaging (plain partial sums)")),
-    "accel_order": ("--accel-order", "accel_order", dict(
-        type=_positive_int, help="tail-averaging depth (default %(default)s)")),
+        action="store_false", help="plain alternating partial sums instead of the "
+                                   "Borwein-weighted series")),
     "hl_constant": ("--hl-constant", "hl_constant", dict(
         type=float, help="validity constant C > 1 in |Im z| <= 2*pi*n/C (default %(default)s)")),
     "guard_radius": ("--guard-radius", "guard_radius", dict(
@@ -111,14 +92,15 @@ _CONFIG_FLAGS = {
 }
 
 #: The fields that the series evaluations of eval and residual read.
-_SERIES_FIELDS = ("n_terms", "accelerate", "accel_order", "guard_radius")
+_SERIES_FIELDS = ("n_terms", "accelerate", "guard_radius")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, base: EvalConfig, *fields: str) -> None:
     """Register the flags of the config fields a command reads.
 
-    The command's config takes the other fields from ``base``, so no flag is
-    accepted, and echoed in the report, without taking effect.
+    The command's config takes the other fields from ``base``, and its report
+    echoes only these fields, so no flag or value is shown without taking
+    effect.
     """
     group = parser.add_argument_group("evaluation config")
     for field in fields:
@@ -127,10 +109,14 @@ def _add_config_flags(parser: argparse.ArgumentParser, base: EvalConfig, *fields
     parser.set_defaults(config_base=base, config_fields=fields)
 
 
+def _config_values(args) -> dict:
+    """The registered config fields and their values, in registration order."""
+    fields = getattr(args, "config_fields", ())
+    return {field: getattr(args, _CONFIG_FLAGS[field][1]) for field in fields}
+
+
 def _config_from(args) -> EvalConfig:
-    return args.config_base.replace(
-        **{field: getattr(args, _CONFIG_FLAGS[field][1]) for field in args.config_fields}
-    )
+    return args.config_base.replace(**_config_values(args))
 
 
 def format_complex_flag(z: complex) -> str:
@@ -138,27 +124,23 @@ def format_complex_flag(z: complex) -> str:
     return f"{format_float(z.real)}{'+' if z.imag >= 0 else '-'}{format_float(abs(z.imag))}i"
 
 
-def _manifest(command: str, args, config: EvalConfig, keys: list[str]) -> RunManifest:
+def _manifest(command: str, args, keys: list[str]) -> dict:
+    """What was run: command, validated CLI parameters, timestamp."""
     parameters = {}
     for key in keys:
         value = getattr(args, key)
         if isinstance(value, complex):
             value = format_complex_flag(value)
         parameters[key] = "" if value is None else str(value)
-    return RunManifest(
-        command=command,
-        parameters=parameters,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        config=config,
-    )
-
-
-def _report(manifest: RunManifest, results: dict) -> dict:
     return {
-        "manifest": manifest.as_dict(),
-        "config": manifest.config.as_dict(),
-        "results": results,
+        "command": command,
+        "parameters": parameters,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
+
+
+def _report(manifest: dict, args, results: dict) -> dict:
+    return {"manifest": manifest, "config": _config_values(args), "results": results}
 
 
 def _series_value_dict(sv) -> dict:
@@ -181,7 +163,7 @@ def _emit(text: str, out_path) -> None:
 
 def cmd_eval(args) -> int:
     config = _config_from(args)
-    manifest = _manifest("eval", args, config, ["z", "n", "format"])
+    manifest = _manifest("eval", args, ["z", "n", "format"])
     z = args.z
     results: dict = {}
     failures: list[str] = []
@@ -200,7 +182,7 @@ def cmd_eval(args) -> int:
     attempt("zeta_hat_eta", lambda: _series_value_dict(zeta_hat_eta(z, config)))
 
     if args.format == "text":
-        lines = [f"z = {format_float(z.real)}{z.imag:+.17g}i  (n = {config.n_terms})"]
+        lines = [f"z = {format_float(z.real)}{z.imag:+.17g}i"]
         for name, payload in results.items():
             if "error" in payload:
                 lines.append(f"{name:>22}: error {payload['error']}")
@@ -208,13 +190,14 @@ def cmd_eval(args) -> int:
                 v = payload["value"]
                 lines.append(
                     f"{name:>22}: {format_float(v['re'])} {v['im']:+.17g}i"
-                    f"  (est_error {format_float(payload['est_error'])})"
+                    f"  (n = {payload['n_used']}, est_error {format_float(payload['est_error'])})"
                 )
             else:
-                lines.append(f"{name:>22}: {format_float(payload['re'])} {payload['im']:+.17g}i")
+                lines.append(f"{name:>22}: {format_float(payload['re'])} {payload['im']:+.17g}i"
+                             f"  (n = {config.n_terms})")
         text = "\n".join(lines) + "\n"
     else:
-        text = json_dumps(_report(manifest, results))
+        text = json_dumps(_report(manifest, args, results))
     _emit(text, args.out)
     if failures:
         print(f"error: {', '.join(sorted(set(failures)))}", file=sys.stderr)
@@ -228,8 +211,6 @@ def cmd_residual(args) -> int:
     if not (0.0 < args.rmin < args.rmax < 1.0):
         raise argparse.ArgumentTypeError("grid bounds must satisfy 0 < rmin < rmax < 1")
     config = _config_from(args)
-    manifest = _manifest("residual", args, config,
-                         ["rmin", "rmax", "rcount", "imin", "imax", "icount", "tol"])
 
     res = [args.rmin + i * (args.rmax - args.rmin) / (args.rcount - 1)
            for i in range(args.rcount)] if args.rcount > 1 else [args.rmin]
@@ -263,7 +244,7 @@ def cmd_residual(args) -> int:
     text = csv_text(
         ["re", "im", "residual", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "status"],
         rows,
-        comments=[f"config: {json_compact(config.as_dict())}"],
+        comments=[f"config: {json_compact(_config_values(args))}"],
     )
     atomic_write_text(args.out, text)
     passed = max_residual <= args.tol
@@ -277,8 +258,7 @@ def cmd_residual(args) -> int:
 
 def cmd_zeros(args) -> int:
     config = _config_from(args)
-    manifest = _manifest("zeros", args, config,
-                         ["tmin", "tmax", "step", "reference", "match_tol"])
+    manifest = _manifest("zeros", args, ["tmin", "tmax", "step", "reference", "match_tol"])
     window = ScanWindow(args.tmin, args.tmax, args.step)
     records = scan_zeros(window, config)
     results: dict = {
@@ -323,7 +303,7 @@ def cmd_zeros(args) -> int:
         if mismatches:
             exit_code = 1
 
-    _emit(json_dumps(_report(manifest, results)), args.out)
+    _emit(json_dumps(_report(manifest, args, results)), args.out)
     print(summary, file=sys.stderr)
     return exit_code
 
@@ -336,8 +316,7 @@ def cmd_doubling(args) -> int:
     if args.z is not None and args.zero_index is not None:
         raise argparse.ArgumentTypeError("--z and --zero-index are mutually exclusive")
 
-    manifest = _manifest("doubling", args, PLAIN_CONFIG,
-                         ["z", "zero_index", "zero_table", "nbase", "m"])
+    manifest = _manifest("doubling", args, ["z", "zero_index", "zero_table", "nbase", "m"])
 
     if args.zero_index is not None:
         table_path = args.zero_table or reference_table_path()
@@ -373,7 +352,7 @@ def cmd_doubling(args) -> int:
             "two_pow_one_minus_z": complex_pair(2.0 ** (1.0 - report.point)),
         },
     }
-    _emit(json_dumps(_report(manifest, results)), args.out)
+    _emit(json_dumps(_report(manifest, args, results)), args.out)
 
     lines = [
         f"doubling at {point.real:+.6f}{point.imag:+.6f}i  "
@@ -402,7 +381,7 @@ def cmd_errscan(args) -> int:
     if args.nmin >= args.nmax:
         raise argparse.ArgumentTypeError("--nmin must be below --nmax")
     config = _config_from(args)
-    manifest = _manifest("errscan", args, config, ["z", "nmin", "nmax", "csv"])
+    manifest = _manifest("errscan", args, ["z", "nmin", "nmax", "csv"])
 
     j_min = max(0, math.ceil(math.log2(args.nmin)))
     j_max = math.floor(math.log2(args.nmax))
@@ -420,12 +399,12 @@ def cmd_errscan(args) -> int:
         "reference_slope": report.reference_slope,
         "slope_deviation": report.fitted_slope - report.reference_slope,
     }
-    _emit(json_dumps(_report(manifest, results)), args.out)
+    _emit(json_dumps(_report(manifest, args, results)), args.out)
 
     if args.csv:
         rows = [[n, e, ok] for n, e, ok in zip(report.n_grid, report.errors, report.domain_ok)]
         text = csv_text(["n", "error", "domain_ok"], rows,
-                        comments=[f"config: {json_compact(config.as_dict())}"])
+                        comments=[f"config: {json_compact(_config_values(args))}"])
         atomic_write_text(args.csv, text)
 
     print(f"errscan at {args.z}: fitted slope {report.fitted_slope:+.4f} "
@@ -472,8 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="zero table to crosscheck (one ordinate per line)")
     p_zeros.add_argument("--match-tol", type=float, default=1e-6)
     p_zeros.add_argument("--out", default=None, help="write the report here instead of stdout")
-    _add_config_flags(p_zeros, DEFAULT_CONFIG,
-                      "n_terms", "accel_order", "guard_radius", "tolerance")
+    _add_config_flags(p_zeros, DEFAULT_CONFIG, "guard_radius", "tolerance")
     p_zeros.set_defaults(handler=cmd_zeros)
 
     # no abbreviations, so that a stray evaluation-config flag such as --n is
@@ -496,9 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_err.add_argument("--nmax", type=_positive_int, default=65536)
     p_err.add_argument("--csv", default=None, help="also write (n, error) pairs as CSV")
     p_err.add_argument("--out", default=None, help="write the report here instead of stdout")
-    # the reference evaluation is always accelerated
-    _add_config_flags(p_err, PLAIN_CONFIG,
-                      "n_terms", "accel_order", "hl_constant", "guard_radius")
+    # the measured sums are plain regularized ones and the reference is
+    # always accelerated, so neither n_terms nor accelerate is read
+    _add_config_flags(p_err, PLAIN_CONFIG, "hl_constant", "guard_radius")
     p_err.set_defaults(handler=cmd_errscan)
 
     return parser

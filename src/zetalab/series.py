@@ -5,8 +5,8 @@ Four objects are computed here, all from ascending partial sums of k^(-z):
 * ``zeta_partial``          zeta_n(z)  = sum_{k<=n} k^(-z)
 * ``eta_partial``           xi_n(z)    = sum_{k<=n} (-1)^(k-1) k^(-z)
 * ``zeta_hat_regularized``  zhat_n(z)  = zeta_n(z) - n^(1-z)/(1-z)
-* ``zeta_hat_eta``          zhat(z)    = xi(z) / (1 - 2^(1-z)), optionally
-                            tail-averaged for fast convergence
+* ``zeta_hat_eta``          zhat(z)    = xi(z) / (1 - 2^(1-z)), with xi(z)
+                            either xi_n(z) or P. Borwein's weighted sum
 
 plus the two exact algebraic identities tying them together,
 
@@ -24,6 +24,7 @@ magnitude near the edge of the strip.  Public values are IEEE doubles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .config import DEFAULT_GUARD_RADIUS, EvalConfig
 from .errors import DomainError, PrefactorSingularityError, SingularityError
-from .special_functions import _require_finite
+from .special_functions import LN_2, _require_finite, log_gamma
 
 _LD = np.clongdouble
 _RD = np.longdouble
@@ -40,15 +41,22 @@ _RD = np.longdouble
 # bounded for very large truncation indices.
 _CHUNK = 1 << 19
 
+#: ln(3 + sqrt 8): each Borwein term divides the truncation bound by 3 + sqrt 8.
+_LN_BORWEIN_RATE = math.log(3.0 + math.sqrt(8.0))
+
+#: Target of the Borwein truncation bound, and the unit of the rounding bound.
+_EPS = 2.0 ** -52
+
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """A partial-sum evaluation with its truncation-error estimate.
+    """A series evaluation with its error estimate.
 
-    ``est_error`` is a heuristic magnitude (first omitted term for plain
-    sums, last averaging correction when accelerated), an estimate rather
-    than a bound; it refers to the alternating-sum stage, before the
-    prefactor division.
+    Accelerated, ``est_error`` is an a priori bound on |value - zeta(z)|:
+    the Borwein truncation bound plus a first-order bound on the rounding of
+    the terms, weights and prefactor.  Plain, it is the first omitted term
+    (n+1)^(-Re z) of the alternating sum, before the prefactor division: an
+    estimate, not a bound.
     """
 
     value: complex
@@ -72,26 +80,26 @@ def _check_overflow(z: complex, n: int) -> None:
 def _partial_sums(
     z: complex,
     n: int,
-    marks: tuple[int, ...] = (),
-    tail_keep: int = 0,
+    marks: tuple[int, ...],
     alternating: bool = False,
-):
-    """Stream the ascending partial sums of k^(-z) (optionally signed).
+    weights: np.ndarray | None = None,
+) -> list:
+    """Stream the ascending partial sums of k^(-z), optionally signed
+    (-1)^(k-1) and optionally weighted by ``weights[k-1]``.
 
-    Returns (values, tail) where ``values[i]`` is the partial sum at
-    ``marks[i]`` (marks must be sorted, each in [1, n]) and ``tail`` holds the
-    last ``tail_keep`` partial sums S_{n-tail_keep+1} .. S_n, all in extended
-    precision.
+    Returns the partial sums at ``marks`` (sorted, each in [1, n]) in
+    extended precision.
     """
     zc = complex(z)
     values = []
-    tail = None
     carry = _LD(0.0)
     mark_idx = 0
     for k0 in range(1, n + 1, _CHUNK):
         k1 = min(k0 + _CHUNK, n + 1)
         k = np.arange(k0, k1, dtype=np.float64)
         terms = np.exp(-zc * np.log(k))
+        if weights is not None:
+            terms *= weights[k0 - 1:k1 - 1]
         if alternating:
             first_even = 0 if k0 % 2 == 0 else 1
             terms[first_even::2] *= -1.0
@@ -100,31 +108,25 @@ def _partial_sums(
             values.append(sums[marks[mark_idx] - k0])
             mark_idx += 1
         carry = sums[-1]
-        if tail_keep:
-            # copied, so that the chunk itself can be freed
-            if tail is None or len(sums) >= tail_keep:
-                tail = sums[-tail_keep:].copy()
-            else:
-                tail = np.concatenate([tail, sums])[-tail_keep:]
-    return values, tail
+    return values
 
 
-def _tail_average(window: np.ndarray):
-    """Iterated pairwise averaging of consecutive partial sums.
+@functools.lru_cache(maxsize=16)
+def _borwein_weights(n: int) -> np.ndarray:
+    """e_k = (d_n - d_{k-1}) / d_n for k = 1..n (P. Borwein's algorithm 2).
 
-    Returns (final estimate, magnitude of the last averaging correction).
-    Each round replaces the window by midpoints of neighbours; for an
-    alternating series with smooth terms every round trades one order of the
-    term's smoothness for roughly a factor |z|/(2n) of error.
+    d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!) are exact integers, so
+    each e_k is one correctly rounded division.  The array is cached, so it
+    is read-only.
     """
-    row = window
-    v_cur = row[-1]
-    v_prev = v_cur
-    for _ in range(len(window) - 1):
-        row = 0.5 * (row[:-1] + row[1:])
-        v_prev = v_cur
-        v_cur = row[-1]
-    return v_cur, float(abs(complex(v_cur - v_prev)))
+    summand, d = 1, [1]  # the i = 0 summand is d_0 = 1
+    for i in range(1, n + 1):
+        # exact: the product is the next summand times (2i-1)(2i)
+        summand = summand * 4 * (n + i - 1) * (n - i + 1) // ((2 * i - 1) * 2 * i)
+        d.append(d[-1] + summand)
+    weights = np.array([(d[n] - d_k) / d[n] for d_k in d[:n]])
+    weights.flags.writeable = False
+    return weights
 
 
 def zeta_partial(z: complex, n: int) -> complex:
@@ -132,8 +134,8 @@ def zeta_partial(z: complex, n: int) -> complex:
     z = _require_finite(z)
     n = _require_n(n)
     _check_overflow(z, n)
-    values, _ = _partial_sums(z, n, marks=(n,))
-    return complex(values[0])
+    (value,) = _partial_sums(z, n, marks=(n,))
+    return complex(value)
 
 
 def eta_partial(z: complex, n: int) -> complex:
@@ -141,8 +143,8 @@ def eta_partial(z: complex, n: int) -> complex:
     z = _require_finite(z)
     n = _require_n(n)
     _check_overflow(z, n)
-    values, _ = _partial_sums(z, n, marks=(n,), alternating=True)
-    return complex(values[0])
+    (value,) = _partial_sums(z, n, marks=(n,), alternating=True)
+    return complex(value)
 
 
 def _regularization_tail(z: complex, n: int) -> np.clongdouble:
@@ -165,8 +167,8 @@ def zeta_hat_regularized(
     if abs(z - 1.0) <= guard_radius:
         raise SingularityError(f"regularized sum undefined at z={z!r} (division by 1-z)")
     _check_overflow(z, n)
-    values, _ = _partial_sums(z, n, marks=(n,))
-    return complex(values[0] - _regularization_tail(z, n))
+    (value,) = _partial_sums(z, n, marks=(n,))
+    return complex(value - _regularization_tail(z, n))
 
 
 def zeta_hat_regularized_schedule(
@@ -185,7 +187,7 @@ def zeta_hat_regularized_schedule(
     if abs(z - 1.0) <= guard_radius:
         raise SingularityError(f"regularized sum undefined at z={z!r} (division by 1-z)")
     _check_overflow(z, marks[-1])
-    values, _ = _partial_sums(z, marks[-1], marks=tuple(marks))
+    values = _partial_sums(z, marks[-1], marks=tuple(marks))
     return [complex(s - _regularization_tail(z, m)) for m, s in zip(marks, values)]
 
 
@@ -202,24 +204,44 @@ def _eta_prefactor(z: complex, guard_radius: float) -> complex:
 def zeta_hat_eta(z: complex, config: EvalConfig) -> SeriesValue:
     """zeta via the prefactored alternating series, valid for Re z > 0.
 
-    Plain mode returns xi_n(z) / (1 - 2^(1-z)) with the first omitted term
-    magnitude (n+1)^(-Re z) as ``est_error``.  Accelerated mode tail-averages
-    the last ``accel_order``+1 partial sums before dividing, reporting the
-    last averaging correction instead; with the default configuration this
-    reaches near machine precision throughout the strip for |Im z| <= 100.
+    Plain mode returns xi_n(z) / (1 - 2^(1-z)) at n = ``config.n_terms``.
+    Accelerated mode (P. Borwein, "An efficient algorithm for the Riemann
+    zeta function", 2000, algorithm 2) weights the terms by e_k and takes the
+    smallest n whose truncation bound is <= 2^-52, about 0.9 |Im z| + 25
+    terms in the strip; it does not read ``config.n_terms``.  See SeriesValue
+    for ``est_error``.
     """
     z = _require_finite(z)
     if z.real <= 0.0:
         raise DomainError(f"alternating-series evaluation requires Re z > 0, got {z!r}")
     prefactor = _eta_prefactor(z, config.guard_radius)
-    n = config.n_terms
-    order = min(config.accel_order, n - 1) if config.accelerate else 0
-    _, window = _partial_sums(z, n, tail_keep=order + 1, alternating=True)
-    if order > 0:
-        sum_ld, est = _tail_average(window)
-    else:
-        sum_ld, est = window[-1], float((n + 1) ** (-z.real))
-    return SeriesValue(complex(sum_ld / _LD(prefactor)), n, "eta_prefactored", est)
+    if not config.accelerate:
+        n = config.n_terms
+        (xi,) = _partial_sums(z, n, marks=(n,), alternating=True)
+        return SeriesValue(complex(xi / _LD(prefactor)), n, "eta_prefactored",
+                           float((n + 1) ** (-z.real)))
+
+    # Borwein's remainder is below Gamma(Re z) / (d_n |Gamma(z)| |1-2^(1-z)|)
+    # with d_n > (3+sqrt 8)^n / 2; his published bound omits Gamma(Re z) and
+    # fails for small and for large Re z.  |Gamma(z)| = |Gamma(z+1)| / |z|
+    # keeps clear of the reflection formula.
+    log_scale = (LN_2 + math.lgamma(z.real) - log_gamma(z + 1.0).real + math.log(abs(z))
+                 - math.log(abs(prefactor)))
+    n = max(1, math.ceil((log_scale - math.log(_EPS)) / _LN_BORWEIN_RATE))
+    truncation = math.exp(log_scale - n * _LN_BORWEIN_RATE)
+    weights = _borwein_weights(n)
+    (xi,) = _partial_sums(z, n, marks=(n,), alternating=True, weights=weights)
+    value = complex(xi / _LD(prefactor))
+
+    # First-order rounding: a term exp(-z ln k) is off by (2 + |z| ln k) eps
+    # relative, its weighting by eps (the extended-precision sum adds about
+    # n 2^-64, less than |z| ln k eps), 1 - 2^(1-z) absolutely by
+    # eps (|2^(1-z)| (2 + |1-z|) + |prefactor|), and the division by eps.
+    k = np.arange(1.0, n + 1.0)
+    terms_bound = np.sum(weights * k ** -z.real * (3.0 + abs(z) * np.log(k)))
+    prefactor_bound = abs(2.0 ** (1.0 - z)) * (2.0 + abs(1.0 - z)) + 2.0 * abs(prefactor)
+    rounding = _EPS * (terms_bound + abs(value) * prefactor_bound) / abs(prefactor)
+    return SeriesValue(value, n, "eta_prefactored", truncation + float(rounding))
 
 
 def identity_residual_plain(z: complex, n: int) -> float:
@@ -231,7 +253,7 @@ def identity_residual_plain(z: complex, n: int) -> float:
     z = _require_finite(z)
     n = _require_n(n)
     xi = eta_partial(z, 2 * n)
-    (zeta_n, zeta_2n), _ = _partial_sums(z, 2 * n, marks=(n, 2 * n))
+    zeta_n, zeta_2n = _partial_sums(z, 2 * n, marks=(n, 2 * n))
     rhs = complex(zeta_2n) - 2.0 ** (1.0 - z) * complex(zeta_n)
     return abs(xi - rhs)
 

@@ -66,6 +66,20 @@ ZETA_DERIV_SAMPLES = [
      complex(0.19175988409272137, -0.073135728865928932)),
 ]
 
+# zeta(s) beyond the packaged table's range, for the accelerated series whose
+# length grows with |Im s|
+ZETA_LARGE_T_SAMPLES = [
+    (complex(0.1, 200.0), complex(8.8146448719928374, -8.8694015769970535)),
+    (complex(0.5, 200.0), complex(4.5905773749690527, -3.1894012475791441)),
+    (complex(0.9, 200.0), complex(2.8534020853413387, -1.2931956497311992)),
+    (complex(0.1, 1000.0), complex(-4.5928867325910193, 5.3169645753948028)),
+    (complex(0.5, 1000.0), complex(0.35633436719439606, 0.93199783123299367)),
+    (complex(0.9, 1000.0), complex(0.91708641384307895, 0.11807465295533802)),
+    (complex(0.1, 3000.0), complex(-2.2454449056888056, 19.657801291784729)),
+    (complex(0.5, 3000.0), complex(1.5904730146408154, 3.1846124073908223)),
+    (complex(0.9, 3000.0), complex(1.4471210816502171, 0.84928392929806434)),
+]
+
 # term-by-term high-precision summation, sum_{k<=1000} k^(-(0.5+14.134725i))
 ZETA_PARTIAL_Z1 = complex(0.5, 14.134725)
 ZETA_PARTIAL_Z1_N1000 = complex(-0.64438005252649494, -2.1415757099559568)
@@ -165,6 +179,8 @@ def _regenerate(write_table: str | None) -> None:
         s = mp.mpc(z)
         print("   zeta, zeta'", cpair(s), "->", cpair(mp.zeta(s)),
               cpair(mp.zeta(s, derivative=1)))
+    for z, _ in ZETA_LARGE_T_SAMPLES:
+        print("   zeta", cpair(mp.mpc(z)), "->", cpair(mp.zeta(mp.mpc(z))))
 
     z1 = mp.mpc('0.5', '14.134725')
     print("ZETA_PARTIAL_Z1_N1000 =",

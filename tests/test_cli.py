@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from zetalab.cli import main, parse_complex, format_complex_flag
+from zetalab import EvalConfig, zeta_hat_eta
+from zetalab.cli import build_parser, main, parse_complex, format_complex_flag
 
 import oracles
 
@@ -60,7 +61,12 @@ class TestEval:
     def test_text_format(self, capsys):
         code, out, _ = run_cli(["eval", "--z", "2+0i", "--format", "text"], capsys)
         assert code == 0
-        assert "zeta_hat_eta" in out
+        lines = {line.split(":")[0].strip(): line for line in out.splitlines()[1:]}
+        # each value shows its own truncation index
+        assert lines["zeta_partial"].endswith("(n = 10000)")
+        n_used = zeta_hat_eta(2 + 0j, EvalConfig()).n_used
+        assert n_used < 100
+        assert f"(n = {n_used}, est_error " in lines["zeta_hat_eta"]
 
 
 class TestResidualCommand:
@@ -265,6 +271,12 @@ class TestUnreadConfigFlags:
         (["zeros"], ["--no-accelerate"]),
         (["errscan", "--z", "0.5+10i"], ["--accelerate"]),
         (["errscan", "--z", "0.5+10i"], ["--tolerance", "1e-8"]),
+        (["eval", "--z", "0.5+14i"], ["--accel-order", "30"]),
+        (["residual"], ["--accel-order", "30"]),
+        (["zeros"], ["--accel-order", "30"]),
+        (["errscan", "--z", "0.5+10i"], ["--accel-order", "30"]),
+        (["zeros"], ["--n", "5000"]),
+        (["errscan", "--z", "0.5+10i"], ["--n", "5000"]),
     ]
 
     @pytest.mark.parametrize("args,flag", CASES,
@@ -275,6 +287,36 @@ class TestUnreadConfigFlags:
         code, _, err = run_cli([*args, *flag, "--out", str(tmp_path / "out")], capsys)
         assert code == 2
         assert flag[0] in err
+
+
+class TestReportConfig:
+    # each report's config block holds exactly the config fields the command
+    # reads
+    CASES = [
+        (["eval", "--z", "0.5+14i"], ["n_terms", "accelerate", "guard_radius"]),
+        (["zeros", "--tmin", "14", "--tmax", "15"], ["guard_radius", "tolerance"]),
+        (["doubling", "--zero-index", "1", "--nbase", "64", "--m", "2"], []),
+        (["errscan", "--z", "0.5+10i", "--nmax", "4096"], ["hl_constant", "guard_radius"]),
+    ]
+
+    @pytest.mark.parametrize("args,fields", CASES, ids=[args[0] for args, _ in CASES])
+    def test_json_config_keys(self, capsys, tmp_path, args, fields):
+        out_path = tmp_path / "report.json"
+        assert run_cli([*args, "--out", str(out_path)], capsys)[0] == 0
+        assert list(json.loads(out_path.read_text())["config"]) == fields
+        assert list(getattr(build_parser().parse_args(args), "config_fields", ())) == fields
+
+    def test_csv_config_comments(self, capsys, tmp_path):
+        residual, errscan = tmp_path / "residual.csv", tmp_path / "errscan.csv"
+        assert run_cli(["residual", "--rcount", "2", "--icount", "2", "--imax", "5",
+                        "--out", str(residual)], capsys)[0] == 0
+        assert run_cli(["errscan", "--z", "0.5+10i", "--nmax", "4096",
+                        "--csv", str(errscan), "--out", str(tmp_path / "e.json")],
+                       capsys)[0] == 0
+        for path, fields in ((residual, ["n_terms", "accelerate", "guard_radius"]),
+                             (errscan, ["hl_constant", "guard_radius"])):
+            comment = path.read_text().splitlines()[0]
+            assert list(json.loads(comment.removeprefix("# config: "))) == fields
 
 
 class TestDeterminism:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zetalab import (
-    ConfigError,
     DomainError,
     EvalConfig,
     PrefactorSingularityError,
@@ -113,8 +112,7 @@ class TestZetaHatEta:
                 zeta_hat_eta(z, ACCEL)
 
     def test_vanishes_at_first_zero(self):
-        sv = zeta_hat_eta(complex(0.5, oracles.ZERO_ORDINATES_FIRST10[0]),
-                          EvalConfig(accel_order=30))
+        sv = zeta_hat_eta(complex(0.5, oracles.ZERO_ORDINATES_FIRST10[0]), ACCEL)
         assert abs(sv.value) <= 1e-8
 
     def test_against_zeta_oracle_grid(self):
@@ -136,36 +134,55 @@ class TestZetaHatEta:
         ]
         assert all(b < a for a, b in zip(estimates, estimates[1:]))
 
-    def test_accel_order_capped_by_config(self):
-        with pytest.raises(ConfigError):
-            EvalConfig(n_terms=10, accel_order=20)
-
 
 class TestZetaHatEtaLongSums:
-    # 2^19 + 5 terms end in a 5-term chunk, shorter than the 41-sum averaging
-    # window, so the window is stitched across the chunk boundary
-    @pytest.mark.parametrize("n", [10_000, (1 << 19) + 5])
-    def test_against_zeta_oracle(self, n):
-        config = EvalConfig(n_terms=n)
+    def test_against_zeta_oracle(self):
         for z, zeta, _ in oracles.ZETA_DERIV_SAMPLES:
-            value = zeta_hat_eta(z, config).value
+            value = zeta_hat_eta(z, ACCEL).value
             # zeta vanishes at the first sample, so its error is scaled by
             # max(1, |zeta|)
-            assert abs(value - zeta) <= 1e-10 * max(1.0, abs(zeta)), (z, n)
+            assert abs(value - zeta) <= 1e-10 * max(1.0, abs(zeta)), z
 
-    def test_tail_window_stitched_across_chunk_boundary(self):
-        # the 41-sum window at n = 2^19 + 5 takes 36 sums from the first
-        # chunk and 5 from the second; the oracle errors above cannot tell
-        # a correctly stitched window from the 5-sum one
+    def test_weights_aligned_across_chunk_boundary(self):
+        # n = 2^19 + 5 ends in a 5-term chunk, whose weights are sliced at an
+        # offset; a single nonzero weight on either side of the boundary must
+        # pick out its own signed term
         z = complex(0.5, 3.0)
         n = (1 << 19) + 5
-        values, tail = _partial_sums(
-            z, n, marks=tuple(range(n - 40, n + 1)), tail_keep=41, alternating=True,
-        )
-        _, head = _partial_sums(z, 1 << 19, tail_keep=36, alternating=True)
-        _, end = _partial_sums(z, n, tail_keep=5, alternating=True)
-        assert np.array_equal(tail, np.array(values))
-        assert np.array_equal(tail, np.concatenate([head, end]))
+        for k in (1 << 19, (1 << 19) + 3):
+            weights = np.zeros(n)
+            weights[k - 1] = 1.0
+            (value,) = _partial_sums(z, n, marks=(n,), alternating=True, weights=weights)
+            expected = (-1) ** (k - 1) * k ** -z
+            assert abs(complex(value) - expected) <= 1e-12 * abs(expected), k
+
+
+class TestBorweinKernel:
+    LARGE_T = oracles.ZETA_LARGE_T_SAMPLES
+
+    @pytest.mark.parametrize("z,zeta", LARGE_T,
+                             ids=[f"{z.real:g}+{z.imag:g}i" for z, _ in LARGE_T])
+    def test_large_t_oracle(self, z, zeta):
+        sv = zeta_hat_eta(z, ACCEL)
+        error = abs(sv.value - zeta)
+        assert error <= 1e-10 * abs(zeta)
+        assert error <= sv.est_error
+        assert sv.n_used <= math.ceil(0.9 * abs(z.imag)) + 30
+        assert zeta_hat_eta(z, ACCEL) == sv
+
+    def test_est_error_bounds_every_oracle(self):
+        points = [*oracles.ZETA_SAMPLES,
+                  *((z, zeta) for z, zeta, _ in oracles.ZETA_DERIV_SAMPLES),
+                  (0.5 + 0j, oracles.ZETA_HALF),
+                  (2 + 0j, oracles.ZETA_TWO),
+                  (3 + 0j, oracles.ZETA_THREE)]
+        for z, zeta in points:
+            sv = zeta_hat_eta(z, ACCEL)
+            assert abs(sv.value - zeta) <= sv.est_error, z
+        # |Z(t)| = |zeta(1/2 + it)|
+        for t, hardy in oracles.HARDY_Z_SAMPLES:
+            sv = zeta_hat_eta(complex(0.5, t), ACCEL)
+            assert abs(abs(sv.value) - abs(hardy)) <= sv.est_error, t
 
 
 class TestIdentities:

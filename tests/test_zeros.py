@@ -21,6 +21,7 @@ from zetalab import (
     zeta_hat_eta,
 )
 from zetalab import zeros
+from zetalab.series import _borwein_weights, _partial_sums
 from zetalab.zeros import ZeroRecord
 
 import oracles
@@ -65,10 +66,14 @@ class TestScan:
         assert ordinates == sorted(ordinates)
 
     def test_refined_zeros_recheck_with_doubled_depth(self, five_records):
-        deep = ACCEL.replace(accel_order=2 * ACCEL.accel_order)
+        # the Borwein sum at twice the selected length squares its truncation
+        # bound
         for record in five_records:
             rho = complex(0.5, record.ordinate)
-            assert abs(zeta_hat_eta(rho, deep).value) <= 1e-8
+            n = 2 * zeta_hat_eta(rho, ACCEL).n_used
+            (xi,) = _partial_sums(rho, n, marks=(n,), alternating=True,
+                                  weights=_borwein_weights(n))
+            assert abs(complex(xi) / (1.0 - 2.0 ** (1.0 - rho))) <= 1e-8
 
     def test_reflected_point_also_vanishes(self, five_records):
         # 1 - rho is a zero whenever rho is
@@ -127,10 +132,10 @@ class TestRefine:
         assert isinstance(info.value, ValueError)
 
     def test_weak_config_raises_and_names_the_bracket(self):
-        # with 80 terms zhat at t ~ 72 is too inaccurate for the residual
-        # check, so the sign change cannot be refined; it is not dropped
+        # |zhat| at a refined zero is rounding noise far above 1e-30, so the
+        # first sign change cannot pass the residual check; it is not dropped
         with pytest.raises(NoConvergence, match=r"bracket \[72\.05"):
-            scan_zeros(ScanWindow(70.0, 90.0, 0.05), EvalConfig(n_terms=80))
+            scan_zeros(ScanWindow(70.0, 90.0, 0.05), EvalConfig(tolerance=1e-30))
 
 
 class TestHardyZ:
