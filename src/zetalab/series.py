@@ -239,7 +239,7 @@ def zeta_hat_eta(z: complex, config: EvalConfig) -> SeriesValue:
     # eps (|2^(1-z)| (2 + |1-z|) + |prefactor|), and the division by eps.
     k = np.arange(1.0, n + 1.0)
     terms_bound = np.sum(weights * k ** -z.real * (3.0 + abs(z) * np.log(k)))
-    prefactor_bound = abs(2.0 ** (1.0 - z)) * (2.0 + abs(1.0 - z)) + 2.0 * abs(prefactor)
+    prefactor_bound = 2.0 ** (1.0 - z.real) * (2.0 + abs(1.0 - z)) + 2.0 * abs(prefactor)
     rounding = _EPS * (terms_bound + abs(value) * prefactor_bound) / abs(prefactor)
     return SeriesValue(value, n, "eta_prefactored", truncation + float(rounding))
 
