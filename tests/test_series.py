@@ -136,12 +136,17 @@ class TestZetaHatEta:
 
 
 class TestZetaHatEtaLongSums:
-    def test_against_zeta_oracle(self):
+    # the accelerated series picks its own length, so a long n_terms, even
+    # one past the 2^19 chunk size, must leave the value unchanged
+    @pytest.mark.parametrize("n", [10_000, (1 << 19) + 5])
+    def test_against_zeta_oracle(self, n):
+        config = EvalConfig(n_terms=n)
         for z, zeta, _ in oracles.ZETA_DERIV_SAMPLES:
-            value = zeta_hat_eta(z, ACCEL).value
+            sv = zeta_hat_eta(z, config)
+            assert sv == zeta_hat_eta(z, ACCEL), (z, n)
             # zeta vanishes at the first sample, so its error is scaled by
             # max(1, |zeta|)
-            assert abs(value - zeta) <= 1e-10 * max(1.0, abs(zeta)), z
+            assert abs(sv.value - zeta) <= 1e-10 * max(1.0, abs(zeta)), (z, n)
 
     def test_weights_aligned_across_chunk_boundary(self):
         # n = 2^19 + 5 ends in a 5-term chunk, whose weights are sliced at an
