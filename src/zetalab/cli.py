@@ -247,9 +247,12 @@ def cmd_residual(args) -> int:
         comments=[f"config: {json_compact(_config_values(args))}"],
     )
     atomic_write_text(args.out, text)
-    passed = max_residual <= args.tol
-    print(f"residual grid: {len(rows)} points ({skipped} skipped), "
-          f"max residual {max_residual:.3e}, tolerance {args.tol:.1e} -> "
+    # a grid whose every point was skipped checked nothing, so it cannot pass
+    evaluated = skipped < len(rows)
+    passed = evaluated and max_residual <= args.tol
+    summary = (f"max residual {max_residual:.3e}, tolerance {args.tol:.1e}" if evaluated
+               else "no point evaluated")
+    print(f"residual grid: {len(rows)} points ({skipped} skipped), {summary} -> "
           f"{'PASS' if passed else 'FAIL'}  [{args.out}]")
     return 0 if passed else 1
 

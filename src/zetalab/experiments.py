@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import EvalConfig
 from .errors import BudgetError, DivisionByNearZero, DomainError, InsufficientDomain
-from .series import zeta_hat_eta, zeta_hat_regularized_schedule
+from .series import mirror_is_conjugate, zeta_hat_eta, zeta_hat_regularized_schedule
 
 #: Largest total truncation index n_base * 2^m accepted by default; keeps any
 #: doubling experiment at double precision under a few seconds.
@@ -141,12 +141,15 @@ def h_doubling(
     """Full doubling report for H_n(point) = zhat_n(point)/zhat_n(1-point).
 
     The fitted exponent is the mean principal log2 of the last ceil(m/2)
-    H ratios; the reference exponent is 1 - 2*point.
+    H ratios; the reference exponent is 1 - 2*point.  On the critical line
+    (Re z = 1/2, Im z != 0) the mirror schedule is conj of the direct one bit
+    for bit (see ``mirror_is_conjugate``), so it costs no second pass.
     """
     point = complex(point)
     marks = _doubling_marks(point, n_base, m, budget)
     values = zeta_hat_regularized_schedule(point, marks)
-    values_mirror = zeta_hat_regularized_schedule(1.0 - point, marks)
+    values_mirror = ([v.conjugate() for v in values] if mirror_is_conjugate(point)
+                     else zeta_hat_regularized_schedule(1.0 - point, marks))
     h_values = []
     for numerator, denominator in zip(values, values_mirror):
         if abs(denominator) < 1e-300:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_GUARD_RADIUS, EvalConfig
 from .errors import DivisionByNearZero, DomainError, PoleError, SingularityError
-from .series import zeta_hat_eta, zeta_hat_regularized
+from .series import mirror_is_conjugate, zeta_hat_eta, zeta_hat_regularized
 from .special_functions import LN_2, LN_2PI, _require_finite, log_gamma, log_sin
 
 #: Denominators below this are treated as exact zeros rather than data; at an
@@ -67,8 +67,10 @@ def h_ratio_finite(
     """Finite-n ratio H_n(z) = zhat_n(z) / zhat_n(1-z) of regularized sums.
 
     Defined away from the regularization singularities at z = 0 and z = 1.
-    On the critical line 1-z is the conjugate of z, so |H_n| = 1 there for
-    every n.  Raises DivisionByNearZero only if the denominator underflows.
+    On the critical line (Re z = 1/2, Im z != 0) 1-z is conj(z) and zhat_n(1-z)
+    is conj(zhat_n(z)) bit for bit (see ``mirror_is_conjugate``), so one sum
+    gives both and |H_n| = 1 for every n.  Raises DivisionByNearZero only if
+    the denominator underflows.
     """
     z = complex(z)
     if abs(z - 1.0) <= guard_radius or abs(z) <= guard_radius:
@@ -76,7 +78,8 @@ def h_ratio_finite(
             f"H_n undefined within guard radius of z = 0 or z = 1, got {z!r}"
         )
     numerator = zeta_hat_regularized(z, n, guard_radius)
-    denominator = zeta_hat_regularized(1.0 - z, n, guard_radius)
+    denominator = (numerator.conjugate() if mirror_is_conjugate(z)
+                   else zeta_hat_regularized(1.0 - z, n, guard_radius))
     if abs(denominator) < NEAR_ZERO_DENOMINATOR:
         raise DivisionByNearZero(f"zhat_n(1-z) underflowed at z={z!r}, n={n}")
     return numerator / denominator
@@ -88,11 +91,14 @@ def functional_equation_residual(z: complex, config: EvalConfig) -> ResidualRepo
     Both sides use the prefactored alternating series (the same
     representation), so the residual isolates functional-equation error from
     any representation disagreement.  Requires 0 < Re z < 1 so that z and
-    1-z both lie in the validity half-plane.
+    1-z both lie in the validity half-plane.  On the critical line
+    (Re z = 1/2, Im z != 0) zhat(1-z) is conj(zhat(z)) bit for bit, in both
+    modes (see ``mirror_is_conjugate``), and is taken so, with one series pass.
     """
     z = complex(z)
     if not 0.0 < z.real < 1.0:
         raise DomainError(f"residual check needs 0 < Re z < 1, got {z!r}")
     lhs = zeta_hat_eta(z, config).value
-    rhs = h_factor(z, config.guard_radius) * zeta_hat_eta(1.0 - z, config).value
+    mirror = lhs.conjugate() if mirror_is_conjugate(z) else zeta_hat_eta(1.0 - z, config).value
+    rhs = h_factor(z, config.guard_radius) * mirror
     return ResidualReport(z, lhs, rhs, abs(lhs - rhs), config)

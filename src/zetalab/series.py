@@ -77,6 +77,17 @@ def _check_overflow(z: complex, n: int) -> None:
         raise OverflowError(f"terms of k^(-{z!r}) overflow double range at n={n}")
 
 
+def mirror_is_conjugate(z: complex) -> bool:
+    """True when every series here returns at 1 - z exactly conj(its value at z).
+
+    On Re z = 1/2 the subtraction 1 - z is exactly conj(z), and each step
+    (exp(-z ln k), the ascending sums, n^(1-z)/(1-z), 2^(1-z), the Borwein
+    length) commutes with conjugation.  Im z = 0 is excluded: 1 - (0.5 +- 0i)
+    is 0.5+0i either way, and conjugating would flip the sign of a zero.
+    """
+    return z.real == 0.5 and z.imag != 0.0
+
+
 def _partial_sums(
     z: complex,
     n: int,

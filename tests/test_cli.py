@@ -105,6 +105,19 @@ class TestResidualCommand:
         statuses = [line.rsplit(",", 1)[1] for line in lines[2:]]
         assert statuses == ["ok", "skipped"]
 
+    def test_all_points_skipped_fails(self, capsys, tmp_path):
+        # a guard radius of 10 covers the pole of Gamma(1-z) at z = 1 for the
+        # whole grid: nothing is checked, so the run must not report PASS
+        out_path = tmp_path / "residual.csv"
+        code, out, _ = run_cli([
+            "residual", "--rcount", "2", "--icount", "2", "--imax", "5",
+            "--guard-radius", "10", "--out", str(out_path),
+        ], capsys)
+        assert code == 1
+        assert "no point evaluated" in out and "PASS" not in out
+        lines = out_path.read_text().splitlines()
+        assert [line.rsplit(",", 1)[1] for line in lines[2:]] == ["skipped"] * 4
+
     def test_unattainable_tolerance_fails(self, capsys, tmp_path):
         out_path = tmp_path / "residual.csv"
         code, _, _ = run_cli([
