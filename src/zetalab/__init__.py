@@ -47,6 +47,7 @@ from .series import (
     identity_residual_plain,
     identity_residual_regularized,
     zeta_hat_eta,
+    zeta_hat_eta_batch,
     zeta_hat_regularized,
     zeta_hat_regularized_schedule,
     zeta_partial,
@@ -118,6 +119,7 @@ __all__ = [
     "tail_count",
     "zeta_hat_doubling",
     "zeta_hat_eta",
+    "zeta_hat_eta_batch",
     "zeta_hat_regularized",
     "zeta_hat_regularized_schedule",
     "zeta_partial",

@@ -30,6 +30,7 @@ import numpy as np
 
 from .config import EvalConfig
 from .errors import BudgetError, DivisionByNearZero, DomainError, InsufficientDomain
+from .functional_equation import NEAR_ZERO_DENOMINATOR
 from .series import mirror_is_conjugate, zeta_hat_eta, zeta_hat_regularized_schedule
 
 #: Largest total truncation index n_base * 2^m accepted by default; keeps any
@@ -115,7 +116,7 @@ def _doubling_marks(point: complex, n_base: int, m: int, budget: int) -> list[in
 def _ratios(values: list[complex], what: str) -> list[complex]:
     out = []
     for a, b in zip(values, values[1:]):
-        if abs(a) < 1e-300:
+        if abs(a) < NEAR_ZERO_DENOMINATOR:
             raise DivisionByNearZero(f"{what} underflowed along the schedule")
         out.append(b / a)
     return out

@@ -20,12 +20,15 @@ accumulated in 80-bit extended precision (numpy ``clongdouble``) in strictly
 ascending k, so that results are deterministic and accumulation noise stays
 far below the 1e-10 identity budget even for n = 10^4 sums of O(10^4)
 magnitude near the edge of the strip.  Public values are IEEE doubles.
+``zeta_hat_eta_batch`` sums many points in one pass per series length, each
+point in its own row; ``zeta_hat_eta`` is its one-point case.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +49,11 @@ _LN_BORWEIN_RATE = math.log(3.0 + math.sqrt(8.0))
 
 #: Target of the Borwein truncation bound, and the unit of the rounding bound.
 _EPS = 2.0 ** -52
+
+#: Points x terms per block of a batched series pass: however many points
+#: share a length, the term matrix (16 bytes an entry) and its
+#: extended-precision sums (32) stay below a megabyte each.
+_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -89,7 +97,7 @@ def mirror_is_conjugate(z: complex) -> bool:
 
 
 def _partial_sums(
-    z: complex,
+    z: complex | np.ndarray,
     n: int,
     marks: tuple[int, ...],
     alternating: bool = False,
@@ -98,10 +106,12 @@ def _partial_sums(
     """Stream the ascending partial sums of k^(-z), optionally signed
     (-1)^(k-1) and optionally weighted by ``weights[k-1]``.
 
-    Returns the partial sums at ``marks`` (sorted, each in [1, n]) in
-    extended precision.
+    ``z`` is one point or an array of points.  Returns the partial sums at
+    ``marks`` (sorted, each in [1, n]) in extended precision, each of the
+    shape of ``z``; every point accumulates along its own row, so its sums do
+    not depend on the other points.
     """
-    zc = complex(z)
+    zc = np.asarray(z, dtype=complex)[..., np.newaxis]
     values = []
     carry = _LD(0.0)
     mark_idx = 0
@@ -113,22 +123,24 @@ def _partial_sums(
             terms *= weights[k0 - 1:k1 - 1]
         if alternating:
             first_even = 0 if k0 % 2 == 0 else 1
-            terms[first_even::2] *= -1.0
-        sums = carry + np.cumsum(terms, dtype=_LD)
+            terms[..., first_even::2] *= -1.0
+        sums = np.cumsum(terms, axis=-1, dtype=_LD)
+        sums += carry
         while mark_idx < len(marks) and marks[mark_idx] < k1:
-            values.append(sums[marks[mark_idx] - k0])
+            values.append(sums[..., marks[mark_idx] - k0])
             mark_idx += 1
-        carry = sums[-1]
+        carry = sums[..., -1:]
     return values
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=128)
 def _borwein_weights(n: int) -> np.ndarray:
     """e_k = (d_n - d_{k-1}) / d_n for k = 1..n (P. Borwein's algorithm 2).
 
     d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!) are exact integers, so
     each e_k is one correctly rounded division.  The array is cached, so it
-    is read-only.
+    is read-only; the cache holds the ~20 lengths of a 20-wide zero-scan
+    window several times over, so refinement reuses the grid's weights.
     """
     summand, d = 1, [1]  # the i = 0 summand is d_0 = 1
     for i in range(1, n + 1):
@@ -212,6 +224,20 @@ def _eta_prefactor(z: complex, guard_radius: float) -> complex:
     return prefactor
 
 
+def _borwein_length(z: complex, prefactor: complex) -> tuple[int, float]:
+    """(n, truncation bound): the shortest Borwein sum at z whose bound is <= 2^-52.
+
+    Borwein's remainder is below Gamma(Re z) / (d_n |Gamma(z)| |1-2^(1-z)|)
+    with d_n > (3+sqrt 8)^n / 2; his published bound omits Gamma(Re z) and
+    fails for small and for large Re z.  |Gamma(z)| = |Gamma(z+1)| / |z|
+    keeps clear of the reflection formula.
+    """
+    log_scale = (LN_2 + math.lgamma(z.real) - log_gamma(z + 1.0).real + math.log(abs(z))
+                 - math.log(abs(prefactor)))
+    n = max(1, math.ceil((log_scale - math.log(_EPS)) / _LN_BORWEIN_RATE))
+    return n, math.exp(log_scale - n * _LN_BORWEIN_RATE)
+
+
 def zeta_hat_eta(z: complex, config: EvalConfig) -> SeriesValue:
     """zeta via the prefactored alternating series, valid for Re z > 0.
 
@@ -220,39 +246,74 @@ def zeta_hat_eta(z: complex, config: EvalConfig) -> SeriesValue:
     zeta function", 2000, algorithm 2) weights the terms by e_k and takes the
     smallest n whose truncation bound is <= 2^-52, about 0.9 |Im z| + 25
     terms in the strip; it does not read ``config.n_terms``.  See SeriesValue
-    for ``est_error``.
+    for ``est_error``.  This is the one-point case of ``zeta_hat_eta_batch``.
     """
-    z = _require_finite(z)
-    if z.real <= 0.0:
-        raise DomainError(f"alternating-series evaluation requires Re z > 0, got {z!r}")
-    prefactor = _eta_prefactor(z, config.guard_radius)
-    if not config.accelerate:
-        n = config.n_terms
-        (xi,) = _partial_sums(z, n, marks=(n,), alternating=True)
-        return SeriesValue(complex(xi / _LD(prefactor)), n, "eta_prefactored",
-                           float((n + 1) ** (-z.real)))
+    (value,) = zeta_hat_eta_batch([z], config)
+    return value
 
-    # Borwein's remainder is below Gamma(Re z) / (d_n |Gamma(z)| |1-2^(1-z)|)
-    # with d_n > (3+sqrt 8)^n / 2; his published bound omits Gamma(Re z) and
-    # fails for small and for large Re z.  |Gamma(z)| = |Gamma(z+1)| / |z|
-    # keeps clear of the reflection formula.
-    log_scale = (LN_2 + math.lgamma(z.real) - log_gamma(z + 1.0).real + math.log(abs(z))
-                 - math.log(abs(prefactor)))
-    n = max(1, math.ceil((log_scale - math.log(_EPS)) / _LN_BORWEIN_RATE))
-    truncation = math.exp(log_scale - n * _LN_BORWEIN_RATE)
-    weights = _borwein_weights(n)
-    (xi,) = _partial_sums(z, n, marks=(n,), alternating=True, weights=weights)
-    value = complex(xi / _LD(prefactor))
 
-    # First-order rounding: a term exp(-z ln k) is off by (2 + |z| ln k) eps
-    # relative, its weighting by eps (the extended-precision sum adds about
-    # n 2^-64, less than |z| ln k eps), 1 - 2^(1-z) absolutely by
-    # eps (|2^(1-z)| (2 + |1-z|) + |prefactor|), and the division by eps.
-    k = np.arange(1.0, n + 1.0)
-    terms_bound = np.sum(weights * k ** -z.real * (3.0 + abs(z) * np.log(k)))
-    prefactor_bound = 2.0 ** (1.0 - z.real) * (2.0 + abs(1.0 - z)) + 2.0 * abs(prefactor)
-    rounding = _EPS * (terms_bound + abs(value) * prefactor_bound) / abs(prefactor)
-    return SeriesValue(value, n, "eta_prefactored", truncation + float(rounding))
+def zeta_hat_eta_batch(points: Iterable[complex], config: EvalConfig) -> list[SeriesValue]:
+    """``zeta_hat_eta`` at each of ``points``, bit for bit, in batched passes.
+
+    The points are grouped by their series length n, which fixes the Borwein
+    weights, and each group is summed in one pass over a points x n term
+    matrix, in blocks of at most ``_BLOCK_ENTRIES`` terms.  Every row is
+    summed on its own (ascending k, extended precision), so a value does not
+    depend on the other points.  The first invalid point raises what
+    ``zeta_hat_eta`` raises there.
+    """
+    zs = [_require_finite(z) for z in points]
+    prefactors, lengths = [], []
+    for z in zs:
+        if z.real <= 0.0:
+            raise DomainError(f"alternating-series evaluation requires Re z > 0, got {z!r}")
+        prefactors.append(_eta_prefactor(z, config.guard_radius))
+        lengths.append(_borwein_length(z, prefactors[-1]) if config.accelerate
+                       else (config.n_terms, None))
+
+    groups: dict[int, list[int]] = {}
+    for i, (n, _) in enumerate(lengths):
+        groups.setdefault(n, []).append(i)
+    out: list[SeriesValue] = [None] * len(zs)  # type: ignore[list-item]
+    for n, members in groups.items():
+        weights = _borwein_weights(n) if config.accelerate else None
+        rows = max(1, _BLOCK_ENTRIES // min(n, _CHUNK))
+        for b in range(0, len(members), rows):
+            block = members[b:b + rows]
+            z, prefactor = [zs[i] for i in block], [prefactors[i] for i in block]
+            (xi,) = _partial_sums(np.array(z), n, marks=(n,), alternating=True, weights=weights)
+            values = (xi / np.array(prefactor)).astype(complex).tolist()
+            if weights is None:
+                errors = [float((n + 1) ** (-zi.real)) for zi in z]
+            else:
+                errors = [lengths[i][1] + rounding for i, rounding
+                          in zip(block, _rounding_bounds(z, prefactor, values, weights))]
+            for i, value, error in zip(block, values, errors):
+                out[i] = SeriesValue(value, n, "eta_prefactored", error)
+    return out
+
+
+def _rounding_bounds(z: list[complex], prefactor: list[complex], value: list[complex],
+                     weights: np.ndarray) -> list[float]:
+    """First-order rounding bound of each accelerated value.
+
+    A term exp(-z ln k) is off by (2 + |z| ln k) eps relative, its weighting
+    by eps (the extended-precision sum adds about n 2^-64, less than
+    |z| ln k eps), 1 - 2^(1-z) absolutely by
+    eps (|2^(1-z)| (2 + |1-z|) + |prefactor|), and the division by eps.
+    Each row of the term matrix is reduced by itself, as the one-point case
+    reduces its one row, so no choice of summation order inside numpy can
+    set a batch apart from its points.  |z| is Python's abs: numpy's complex
+    abs differs from it in the last bit for about a third of points.
+    """
+    k = np.arange(1.0, len(weights) + 1.0)
+    term_bounds = (weights * k ** np.array([[-zi.real] for zi in z])
+                   * (3.0 + np.array([[abs(zi)] for zi in z]) * np.log(k)))
+    bounds = []
+    for zi, pi, vi, row in zip(z, prefactor, value, term_bounds):
+        prefactor_bound = 2.0 ** (1.0 - zi.real) * (2.0 + abs(1.0 - zi)) + 2.0 * abs(pi)
+        bounds.append(float(_EPS * (np.add.reduce(row) + abs(vi) * prefactor_bound) / abs(pi)))
+    return bounds
 
 
 def identity_residual_plain(z: complex, n: int) -> float:

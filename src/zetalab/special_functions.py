@@ -59,13 +59,15 @@ def complex_power(base: int, exponent: complex) -> complex:
     return cmath.exp(-z * math.log(base))
 
 
-def _lanczos_log_gamma(z: complex) -> complex:
-    # valid for Re z >= 0.5
+def _lanczos_log_gamma(z, log=cmath.log):
+    # valid for Re z >= 0.5; z is one complex, or a numpy array with
+    # log=np.log, which evaluates the same sum over the array in one pass
+    z_minus_1 = z - 1
     acc = _LANCZOS_COEFFS[0]
     for k in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[k] / (z - 1 + k)
+        acc += _LANCZOS_COEFFS[k] / (z_minus_1 + k)
     t = z + _LANCZOS_G - 0.5
-    return 0.5 * LN_2PI + (z - 0.5) * cmath.log(t) - t + cmath.log(acc)
+    return 0.5 * LN_2PI + (z - 0.5) * log(t) - t + log(acc)
 
 
 def log_sin(z: complex) -> complex:

@@ -13,11 +13,12 @@ zeros, and every verified zero lies there.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from .config import EvalConfig
 from .errors import (
@@ -28,8 +29,8 @@ from .errors import (
     ParseError,
     WindowTooCoarse,
 )
-from .series import zeta_hat_eta
-from .special_functions import LN_PI, log_gamma
+from .series import zeta_hat_eta_batch
+from .special_functions import LN_PI, _lanczos_log_gamma
 
 #: Scan steps above this risk skipping zeros below t = 100: two zeros inside
 #: one step cancel each other's sign change.
@@ -38,6 +39,11 @@ MAX_SCAN_STEP = 0.5
 #: Bound on the refinement iterations of one bracket; Illinois steps converge
 #: superlinearly, so a 0.05-wide bracket needs about five.
 MAX_REFINE_ITERATIONS = 60
+
+#: Largest number of steps in a scan grid (a 3276.8-wide window at step
+#: 0.05); the batched grid pass holds about 0.5 kB per point at once, so
+#: this keeps one scan's memory near 30 MB and its time bounded.
+GRID_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,9 @@ class ScanWindow:
     step: float
 
     def __post_init__(self):
+        for name in ("t_min", "t_max", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.t_min < 0:
             raise ConfigError(f"t_min must be >= 0, got {self.t_min}")
         if not self.t_max > self.t_min:
@@ -57,6 +66,16 @@ class ScanWindow:
             raise ConfigError(f"step must be > 0, got {self.step}")
         if not self.step < (self.t_max - self.t_min):
             raise ConfigError("step must be smaller than the window width")
+        if not (self.t_max - self.t_min) / self.step <= GRID_BUDGET:
+            raise ConfigError(f"[{self.t_min}, {self.t_max}] at step {self.step} exceeds "
+                              f"the grid budget of {GRID_BUDGET} steps")
+
+    def grid(self) -> list[float]:
+        """t_min, t_min + step, ... and exactly t_max: spacing at most ``step``."""
+        # a width within rounding of a multiple of step gets no near-duplicate
+        # last point
+        intervals = math.ceil((self.t_max - self.t_min) / self.step - 1e-9)
+        return [self.t_min + i * self.step for i in range(intervals)] + [self.t_max]
 
 
 @dataclass(frozen=True)
@@ -95,21 +114,28 @@ class CrosscheckReport:
     tolerance: float
 
 
-def _evaluate(t: float, config: EvalConfig) -> tuple[float, float]:
-    """(Z(t), |zhat(1/2 + i t)|) from one series evaluation.
+def _evaluate(ts: list[float], config: EvalConfig) -> tuple[list[float], list[float]]:
+    """(Z(t), |zhat(1/2 + i t)|) at each ordinate, from one batched series pass.
 
-    theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) ln pi.  ``log_gamma`` fixes
-    that branch only up to 2*pi*i, which leaves exp(i theta) unchanged; any
-    phase error e scales Re(exp(i e) Z) = Z cos e, so it cannot move a root.
+    theta(t) = Im log Gamma(w) - (t/2) ln pi with w = 1/4 + i t/2 is taken,
+    by Gamma(w+1) = w Gamma(w), as Im(log Gamma(w+1) - log w) - (t/2) ln pi,
+    which keeps the Lanczos sum off the reflection formula and is one array
+    pass.  That fixes theta only up to 2*pi, which leaves exp(i theta)
+    unchanged; any phase error e scales Re(exp(i e) Z) = Z cos e, so it
+    cannot move a root.  The scan grid and each refinement step call this,
+    so they evaluate the same function.
     """
-    value = zeta_hat_eta(complex(0.5, t), config).value
-    theta = log_gamma(complex(0.25, 0.5 * t)).imag - 0.5 * t * LN_PI
-    return (cmath.exp(1j * theta) * value).real, abs(value)
+    values = np.array([v.value for v in
+                       zeta_hat_eta_batch([complex(0.5, t) for t in ts], config)])
+    half_t = 0.5 * np.asarray(ts, dtype=float)
+    w = 0.25 + 1j * half_t
+    theta = (_lanczos_log_gamma(w + 1.0, np.log) - np.log(w)).imag - half_t * LN_PI
+    return (np.exp(1j * theta) * values).real.tolist(), [abs(v) for v in values.tolist()]
 
 
 def hardy_z(t: float, config: EvalConfig) -> float:
     """Hardy's Z(t) = Re(exp(i theta(t)) zhat(1/2 + i t)), real on the line."""
-    return _evaluate(float(t), config)[0]
+    return _evaluate([float(t)], config)[0][0]
 
 
 def _checked(t: float, residual: float, config: EvalConfig, where: str,
@@ -153,7 +179,7 @@ def refine_zero(t_lo: float, t_hi: float, config: EvalConfig, *,
     a, fa, b, fb = t_lo, z_lo, t_hi, z_hi
     for _ in range(MAX_REFINE_ITERATIONS):
         t = b - fb * (b - a) / (fb - fa)
-        z, residual = _evaluate(t, config)
+        (z,), (residual,) = _evaluate([t], config)
         if z * fb < 0.0:
             a, fa = b, fb
         else:
@@ -182,19 +208,15 @@ def scan_zeros(window: ScanWindow, config: EvalConfig) -> list[ZeroRecord]:
         raise ConfigError("scan_zeros needs an accelerated config; plain sums are too "
                           "slow to reach the refinement tolerance")
 
-    # a width within rounding of a multiple of step gets no near-duplicate
-    # last point
-    intervals = math.ceil((window.t_max - window.t_min) / window.step - 1e-9)
-    grid = [window.t_min + i * window.step for i in range(intervals)] + [window.t_max]
-    samples = [_evaluate(t, config) for t in grid]
+    grid = window.grid()
+    values, residuals = _evaluate(grid, config)
 
     found: list[ZeroRecord] = []
-    for i, (t, (z, residual)) in enumerate(zip(grid, samples)):
+    for i, (t, z, residual) in enumerate(zip(grid, values, residuals)):
         if z == 0.0:
             found.append(_checked(t, residual, config, "grid point", refined=False))
-        elif i + 1 < len(grid) and z * samples[i + 1][0] < 0.0:
-            found.append(refine_zero(t, grid[i + 1], config,
-                                     z_lo=z, z_hi=samples[i + 1][0]))
+        elif i + 1 < len(grid) and z * values[i + 1] < 0.0:
+            found.append(refine_zero(t, grid[i + 1], config, z_lo=z, z_hi=values[i + 1]))
     return [replace(r, index=i) for i, r in enumerate(found, start=1)]
 
 

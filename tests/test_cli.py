@@ -190,6 +190,15 @@ class TestZerosCommand:
         assert code == 2
         assert "NonMonotonicError" in err
 
+    @pytest.mark.parametrize("window", [
+        ["--tmax", "inf"], ["--tmin", "nan"], ["--step", "inf"],
+        ["--tmax", "1e300", "--step", "0.5"], ["--step", "1e-300"],
+    ], ids=["tmax-inf", "tmin-nan", "step-inf", "tmax-1e300", "step-1e-300"])
+    def test_unusable_window_is_usage_error(self, capsys, window):
+        code, _, err = run_cli(["zeros", *window], capsys)
+        assert code == 2
+        assert "ConfigError" in err
+
 
 class TestDoublingCommand:
     def test_first_zero_by_index(self, capsys, tmp_path):

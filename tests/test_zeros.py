@@ -38,6 +38,28 @@ class TestScanWindow:
         with pytest.raises(ConfigError):
             ScanWindow(10.0, 10.2, 0.3)  # step >= width
 
+    @pytest.mark.parametrize("t_min,t_max,step", [
+        (math.inf, 10.0, 0.05), (0.0, math.inf, 0.05), (0.0, math.nan, 0.05),
+        (0.0, 10.0, math.inf), (0.0, 10.0, math.nan),
+    ])
+    def test_non_finite_rejected(self, t_min, t_max, step):
+        with pytest.raises(ConfigError, match="finite"):
+            ScanWindow(t_min, t_max, step)
+
+    @pytest.mark.parametrize("t_max,step", [(1e300, 0.5), (20.0, 1e-300), (1e10, 1e-300)])
+    def test_grid_over_budget_rejected_before_it_is_built(self, monkeypatch, t_max, step):
+        def no_grid(self):
+            raise AssertionError("grid built")
+        monkeypatch.setattr(ScanWindow, "grid", no_grid)
+        with pytest.raises(ConfigError, match="grid budget"):
+            scan_zeros(ScanWindow(10.0, t_max, step), ACCEL)
+
+    def test_grid_at_budget(self):
+        window = ScanWindow(0.0, zeros.GRID_BUDGET * 0.5, 0.5)
+        assert len(window.grid()) == zeros.GRID_BUDGET + 1
+        with pytest.raises(ConfigError):
+            ScanWindow(0.0, zeros.GRID_BUDGET * 0.5 + 0.5, 0.5)
+
     def test_too_coarse(self):
         with pytest.raises(WindowTooCoarse):
             scan_zeros(ScanWindow(10.0, 35.0, 0.6), ACCEL)
@@ -105,6 +127,21 @@ class TestScan:
         assert len(records) == 1
         assert abs(records[0].ordinate - oracles.ZERO_ORDINATES_FIRST10[0]) <= 1e-12
 
+    def test_refinement_reuses_the_grids_weights(self, monkeypatch):
+        # a 20-wide window needs about 19 Borwein lengths; refinement must
+        # find each of them still cached
+        _borwein_weights.cache_clear()
+        misses = []
+        evaluate = zeros._evaluate
+
+        def counted(ts, config):
+            result = evaluate(ts, config)
+            misses.append(_borwein_weights.cache_info().misses)
+            return result
+        monkeypatch.setattr(zeros, "_evaluate", counted)
+        assert len(scan_zeros(ScanWindow(77.1, 97.1, 0.05), ACCEL)) == 9
+        assert misses[0] == 19 and len(misses) > 1 and misses[-1] == misses[0]
+
     def test_scan_is_deterministic(self, five_records):
         again = scan_zeros(ScanWindow(10.0, 35.0, 0.05), ACCEL)
         assert again == five_records
@@ -143,27 +180,40 @@ class TestHardyZ:
     def test_against_siegelz_oracle(self, t, expected):
         assert abs(hardy_z(t, ACCEL) - expected) <= 1e-10 * max(1.0, abs(expected))
 
+    def test_grid_and_one_point_calls_agree_bit_for_bit(self):
+        # the scan grid is one batched call and refinement calls one ordinate
+        # at a time; both must evaluate the same function
+        grid = ScanWindow(41.7, 61.7, 0.05).grid()
+        values, residuals = zeros._evaluate(grid, ACCEL)
+        for i in range(0, len(grid), 23):
+            (z,), (residual,) = zeros._evaluate([grid[i]], ACCEL)
+            assert (z.hex(), residual.hex()) == (values[i].hex(), residuals[i].hex())
+            assert hardy_z(grid[i], ACCEL).hex() == values[i].hex()
+
 
 class TestScanLogic:
     # the grid and bracket bookkeeping, on a synthetic real function in place
     # of Hardy's Z; its modulus stands in for |zhat|
 
     @staticmethod
-    def synthetic(monkeypatch, f, seen=None):
-        def evaluate(t, config):
-            if seen is not None:
-                seen.append(t)
-            return f(t), abs(f(t))
+    def synthetic(monkeypatch, f, calls=None):
+        # the array form: one call per grid, a one-point list per refinement step
+        def evaluate(ts, config):
+            if calls is not None:
+                calls.append(list(ts))
+            values = [f(t) for t in ts]
+            return values, [abs(v) for v in values]
         monkeypatch.setattr(zeros, "_evaluate", evaluate)
 
     @pytest.mark.parametrize("t_min,t_max,count", [
         (10.0, 14.14, 84), (10.0, 30.0, 401), (12.3, 32.3, 401), (10.0, 10.07, 3),
     ])
     def test_grid_ends_at_t_max(self, monkeypatch, t_min, t_max, count):
-        seen = []
-        self.synthetic(monkeypatch, lambda t: 1.0, seen)
+        calls = []
+        self.synthetic(monkeypatch, lambda t: 1.0, calls)
         step = 0.05
         assert scan_zeros(ScanWindow(t_min, t_max, step), ACCEL) == []
+        (seen,) = calls  # the whole grid in one batch
         assert seen[0] == t_min and seen[-1] == t_max
         assert len(seen) == count
         assert all(0.0 < b - a <= step * (1 + 1e-9) for a, b in zip(seen, seen[1:]))
@@ -171,11 +221,12 @@ class TestScanLogic:
     def test_refinement_is_not_one_sided_on_a_convex_function(self, monkeypatch):
         # plain regula falsi keeps the end at t = 10 for good and creeps in
         # from the left, exhausting the iteration bound
-        seen = []
-        self.synthetic(monkeypatch, math.expm1, seen)
+        calls = []
+        self.synthetic(monkeypatch, math.expm1, calls)
         record = refine_zero(-1.0, 10.0, ACCEL)
         assert abs(record.ordinate) <= 1e-12
-        assert len(seen) <= 30
+        assert all(len(ts) == 1 for ts in calls)  # one ordinate per step
+        assert len(calls) <= 30
 
     def test_exact_grid_zero_and_sign_change(self, monkeypatch):
         # 12.5 = 10 + 50 * 0.05 exactly, so Z is 0.0 at that grid point
