@@ -7,7 +7,7 @@ doubling-ratio / error-scaling convergence experiments, with a CLI that
 emits deterministic JSON and CSV reports.
 """
 
-from .config import DEFAULT_CONFIG, DEFAULT_GUARD_RADIUS, PLAIN_CONFIG, EvalConfig
+from .config import DEFAULT_CONFIG, DEFAULT_GUARD_RADIUS, EvalConfig
 from .errors import (
     BracketError,
     BudgetError,
@@ -83,7 +83,6 @@ __all__ = [
     "MatchedPair",
     "NoConvergence",
     "NonMonotonicError",
-    "PLAIN_CONFIG",
     "ParseError",
     "PoleError",
     "PrefactorSingularityError",

@@ -21,8 +21,8 @@ import re
 import sys
 from datetime import datetime, timezone
 
-from .config import DEFAULT_CONFIG, PLAIN_CONFIG, EvalConfig
-from .errors import ZetaLabError
+from .config import DEFAULT_CONFIG, EvalConfig
+from .errors import BudgetError, ZetaLabError
 from .experiments import (
     DOUBLING_BUDGET,
     error_scaling_scan,
@@ -78,11 +78,9 @@ def _positive_int(text: str) -> int:
 
 #: Evaluation-config flags by EvalConfig field: (flag, dest, argparse keywords).
 _CONFIG_FLAGS = {
-    "n_terms": ("--n", "n", dict(type=_positive_int,
-                                 help="series truncation index (default %(default)s)")),
-    "accelerate": ("--no-accelerate", "accelerate", dict(
-        action="store_false", help="plain alternating partial sums instead of the "
-                                   "Borwein-weighted series")),
+    "n_terms": ("--n", "n", dict(
+        type=_positive_int, help="truncation index of the plain sums (default %(default)s, "
+                                 f"at most {DOUBLING_BUDGET})")),
     "hl_constant": ("--hl-constant", "hl_constant", dict(
         type=float, help="validity constant C > 1 in |Im z| <= 2*pi*n/C (default %(default)s)")),
     "guard_radius": ("--guard-radius", "guard_radius", dict(
@@ -91,22 +89,19 @@ _CONFIG_FLAGS = {
         type=float, help="zero-refinement residual tolerance (default %(default)s)")),
 }
 
-#: The fields that the series evaluations of eval and residual read.
-_SERIES_FIELDS = ("n_terms", "accelerate", "guard_radius")
 
-
-def _add_config_flags(parser: argparse.ArgumentParser, base: EvalConfig, *fields: str) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, *fields: str) -> None:
     """Register the flags of the config fields a command reads.
 
-    The command's config takes the other fields from ``base``, and its report
-    echoes only these fields, so no flag or value is shown without taking
-    effect.
+    The command's config takes the other fields from their defaults, and its
+    report echoes only these fields, so no flag or value is shown without
+    taking effect.
     """
     group = parser.add_argument_group("evaluation config")
     for field in fields:
         flag, dest, kwargs = _CONFIG_FLAGS[field]
-        group.add_argument(flag, dest=dest, default=getattr(base, field), **kwargs)
-    parser.set_defaults(config_base=base, config_fields=fields)
+        group.add_argument(flag, dest=dest, default=getattr(DEFAULT_CONFIG, field), **kwargs)
+    parser.set_defaults(config_fields=fields)
 
 
 def _config_values(args) -> dict:
@@ -116,7 +111,7 @@ def _config_values(args) -> dict:
 
 
 def _config_from(args) -> EvalConfig:
-    return args.config_base.replace(**_config_values(args))
+    return EvalConfig(**_config_values(args))
 
 
 def format_complex_flag(z: complex) -> str:
@@ -147,7 +142,6 @@ def _series_value_dict(sv) -> dict:
     return {
         "value": complex_pair(sv.value),
         "n_used": sv.n_used,
-        "mode": sv.mode,
         "est_error": sv.est_error,
     }
 
@@ -163,6 +157,8 @@ def _emit(text: str, out_path) -> None:
 
 def cmd_eval(args) -> int:
     config = _config_from(args)
+    if config.n_terms > DOUBLING_BUDGET:
+        raise BudgetError(f"--n {config.n_terms} exceeds the term budget {DOUBLING_BUDGET}")
     manifest = _manifest("eval", args, ["z", "n", "format"])
     z = args.z
     results: dict = {}
@@ -430,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="evaluation point, e.g. 0.5+14.134725i")
     p_eval.add_argument("--format", choices=("json", "text"), default="json")
     p_eval.add_argument("--out", default=None, help="write the report here instead of stdout")
-    _add_config_flags(p_eval, DEFAULT_CONFIG, *_SERIES_FIELDS)
+    _add_config_flags(p_eval, "n_terms", "guard_radius")
     p_eval.set_defaults(handler=cmd_eval)
 
     p_res = sub.add_parser("residual", help="functional-equation residual over a strip grid")
@@ -443,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--tol", type=float, default=1e-8,
                        help="max-residual pass threshold (default %(default)s)")
     p_res.add_argument("--out", default="residual_report.csv")
-    _add_config_flags(p_res, DEFAULT_CONFIG, *_SERIES_FIELDS)
+    _add_config_flags(p_res, "guard_radius")
     p_res.set_defaults(handler=cmd_residual)
 
     p_zeros = sub.add_parser("zeros", help="scan a critical-line window for zeros")
@@ -454,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="zero table to crosscheck (one ordinate per line)")
     p_zeros.add_argument("--match-tol", type=float, default=1e-6)
     p_zeros.add_argument("--out", default=None, help="write the report here instead of stdout")
-    _add_config_flags(p_zeros, DEFAULT_CONFIG, "guard_radius", "tolerance")
+    _add_config_flags(p_zeros, "guard_radius", "tolerance")
     p_zeros.set_defaults(handler=cmd_zeros)
 
     # no abbreviations, so that a stray evaluation-config flag such as --n is
@@ -477,9 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_err.add_argument("--nmax", type=_positive_int, default=65536)
     p_err.add_argument("--csv", default=None, help="also write (n, error) pairs as CSV")
     p_err.add_argument("--out", default=None, help="write the report here instead of stdout")
-    # the measured sums are plain regularized ones and the reference is
-    # always accelerated, so neither n_terms nor accelerate is read
-    _add_config_flags(p_err, PLAIN_CONFIG, "hl_constant", "guard_radius")
+    # the measured sums run along the --nmin..--nmax grid and the reference
+    # picks its own length, so n_terms is not read
+    _add_config_flags(p_err, "hl_constant", "guard_radius")
     p_err.set_defaults(handler=cmd_errscan)
 
     return parser

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -15,16 +14,14 @@ DEFAULT_GUARD_RADIUS = 1e-6
 class EvalConfig:
     """Knobs for one series evaluation.
 
-    n_terms       truncation index n of the plain partial sums
-    accelerate    evaluate zhat by P. Borwein's weighted alternating series,
-                  whose length follows from z, instead of xi_n(z)
+    n_terms       truncation index n of the plain partial sums; the Borwein
+                  series of ``zeta_hat_eta`` picks its own length
     hl_constant   the constant C > 1 in the validity bound |Im z| <= 2*pi*n/C
     guard_radius  rejection radius around singular points
     tolerance     bound on |zhat| at refined zeros
     """
 
     n_terms: int = 10_000
-    accelerate: bool = True
     hl_constant: float = 2.0
     guard_radius: float = DEFAULT_GUARD_RADIUS
     tolerance: float = 1e-10
@@ -39,12 +36,5 @@ class EvalConfig:
         if not self.tolerance > 0.0:
             raise ConfigError(f"tolerance must be > 0, got {self.tolerance}")
 
-    def replace(self, **changes) -> "EvalConfig":
-        return dataclasses.replace(self, **changes)
-
 
 DEFAULT_CONFIG = EvalConfig()
-
-#: Plain-sum configuration used by the convergence experiments, where
-#: acceleration would alter the very error terms being measured.
-PLAIN_CONFIG = EvalConfig(accelerate=False)

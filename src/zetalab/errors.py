@@ -68,4 +68,4 @@ class InsufficientDomain(ZetaLabError):
 
 
 class BudgetError(ZetaLabError, ValueError):
-    """A doubling schedule exceeds the configured term budget."""
+    """A truncation index exceeds the term budget."""

@@ -13,8 +13,8 @@ The measurable facts are:
 * Away from zeros, zhat_n converges to a nonzero limit and every doubling
   ratio tends to 1.
 
-All doubling experiments use plain (unaccelerated) regularized sums:
-acceleration would change the very error terms whose decay is being measured.
+All doubling experiments use plain regularized sums, not the Borwein series:
+its weights would change the very error terms whose decay is being measured.
 The error-scaling scan fits the log-log slope of |zhat_n(z) - zhat(z)|
 against the reference decay exponent -Re z, restricted to the validity
 domain |Im z| <= 2*pi*n/C.
@@ -33,8 +33,9 @@ from .errors import BudgetError, DivisionByNearZero, DomainError, InsufficientDo
 from .functional_equation import NEAR_ZERO_DENOMINATOR
 from .series import mirror_is_conjugate, zeta_hat_eta, zeta_hat_regularized_schedule
 
-#: Largest total truncation index n_base * 2^m accepted by default; keeps any
-#: doubling experiment at double precision under a few seconds.
+#: Largest truncation index accepted by default: n_base * 2^m of a doubling
+#: schedule, the top of an error-scaling grid, and ``eval``'s plain sums.  It
+#: keeps any of them at double precision under a few seconds.
 DOUBLING_BUDGET = 1 << 24
 
 #: Complex log2 is defined modulo this imaginary period; exponent comparisons
@@ -153,7 +154,7 @@ def h_doubling(
                      else zeta_hat_regularized_schedule(1.0 - point, marks))
     h_values = []
     for numerator, denominator in zip(values, values_mirror):
-        if abs(denominator) < 1e-300:
+        if abs(denominator) < NEAR_ZERO_DENOMINATOR:
             raise DivisionByNearZero(f"zhat_n(1-z) underflowed at z={point!r}")
         h_values.append(numerator / denominator)
 
@@ -191,11 +192,12 @@ def error_scaling_scan(
 ) -> ScalingReport:
     """Measure |zhat_n(point) - zhat(point)| over an n grid and fit its decay.
 
-    The reference value comes from the accelerated alternating series, whose
+    The reference value comes from the Borwein series ``zeta_hat_eta``, whose
     a priori error bound lies near machine precision, far below the errors
     measured on the default grids.  Grid points violating the validity bound
     |Im z| <= 2*pi*n/C are excluded from the fit; fewer than three surviving
-    points raises InsufficientDomain.
+    points raises InsufficientDomain, and a grid reaching past
+    ``DOUBLING_BUDGET`` raises BudgetError before any sum is taken.
     """
     point = complex(point)
     if not 0.0 < point.real < 1.0:
@@ -203,6 +205,8 @@ def error_scaling_scan(
     n_grid = [int(n) for n in n_grid]
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])) or n_grid[0] < 1:
         raise ValueError(f"n_grid must be strictly increasing and >= 1, got {n_grid!r}")
+    if n_grid[-1] > DOUBLING_BUDGET:
+        raise BudgetError(f"n_grid reaches {n_grid[-1]}, above the term budget {DOUBLING_BUDGET}")
 
     threshold = config.hl_constant * abs(point.imag) / (2.0 * math.pi)
     domain_ok = [n >= threshold for n in n_grid]
@@ -213,7 +217,7 @@ def error_scaling_scan(
             f"(need n >= {threshold:.6g} with C={config.hl_constant}); at least 3 required"
         )
 
-    reference = zeta_hat_eta(point, config.replace(accelerate=True)).value
+    reference = zeta_hat_eta(point, config).value
     values = zeta_hat_regularized_schedule(point, n_grid, config.guard_radius)
     errors = [abs(v - reference) for v in values]
 

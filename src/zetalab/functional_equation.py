@@ -36,7 +36,6 @@ class ResidualReport:
     lhs: complex
     rhs: complex
     residual: float
-    config_used: EvalConfig
 
 
 def h_factor(z: complex, guard_radius: float = DEFAULT_GUARD_RADIUS) -> complex:
@@ -92,8 +91,8 @@ def functional_equation_residual(z: complex, config: EvalConfig) -> ResidualRepo
     representation), so the residual isolates functional-equation error from
     any representation disagreement.  Requires 0 < Re z < 1 so that z and
     1-z both lie in the validity half-plane.  On the critical line
-    (Re z = 1/2, Im z != 0) zhat(1-z) is conj(zhat(z)) bit for bit, in both
-    modes (see ``mirror_is_conjugate``), and is taken so, with one series pass.
+    (Re z = 1/2, Im z != 0) zhat(1-z) is conj(zhat(z)) bit for bit (see
+    ``mirror_is_conjugate``), and is taken so, with one series pass.
     """
     z = complex(z)
     if not 0.0 < z.real < 1.0:
@@ -101,4 +100,4 @@ def functional_equation_residual(z: complex, config: EvalConfig) -> ResidualRepo
     lhs = zeta_hat_eta(z, config).value
     mirror = lhs.conjugate() if mirror_is_conjugate(z) else zeta_hat_eta(1.0 - z, config).value
     rhs = h_factor(z, config.guard_radius) * mirror
-    return ResidualReport(z, lhs, rhs, abs(lhs - rhs), config)
+    return ResidualReport(z, lhs, rhs, abs(lhs - rhs))

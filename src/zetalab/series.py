@@ -6,7 +6,7 @@ Four objects are computed here, all from ascending partial sums of k^(-z):
 * ``eta_partial``           xi_n(z)    = sum_{k<=n} (-1)^(k-1) k^(-z)
 * ``zeta_hat_regularized``  zhat_n(z)  = zeta_n(z) - n^(1-z)/(1-z)
 * ``zeta_hat_eta``          zhat(z)    = xi(z) / (1 - 2^(1-z)), with xi(z)
-                            either xi_n(z) or P. Borwein's weighted sum
+                            P. Borwein's weighted alternating sum
 
 plus the two exact algebraic identities tying them together,
 
@@ -58,18 +58,15 @@ _BLOCK_ENTRIES = 1 << 14
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """A series evaluation with its error estimate.
+    """A Borwein series evaluation with its error bound.
 
-    Accelerated, ``est_error`` is an a priori bound on |value - zeta(z)|:
-    the Borwein truncation bound plus a first-order bound on the rounding of
-    the terms, weights and prefactor.  Plain, it is the first omitted term
-    (n+1)^(-Re z) of the alternating sum, before the prefactor division: an
-    estimate, not a bound.
+    ``n_used`` is the series length and ``est_error`` an a priori bound on
+    |value - zeta(z)|: the Borwein truncation bound plus a first-order bound
+    on the rounding of the terms, weights and prefactor.
     """
 
     value: complex
     n_used: int
-    mode: str
     est_error: float
 
 
@@ -241,12 +238,11 @@ def _borwein_length(z: complex, prefactor: complex) -> tuple[int, float]:
 def zeta_hat_eta(z: complex, config: EvalConfig) -> SeriesValue:
     """zeta via the prefactored alternating series, valid for Re z > 0.
 
-    Plain mode returns xi_n(z) / (1 - 2^(1-z)) at n = ``config.n_terms``.
-    Accelerated mode (P. Borwein, "An efficient algorithm for the Riemann
-    zeta function", 2000, algorithm 2) weights the terms by e_k and takes the
-    smallest n whose truncation bound is <= 2^-52, about 0.9 |Im z| + 25
-    terms in the strip; it does not read ``config.n_terms``.  See SeriesValue
-    for ``est_error``.  This is the one-point case of ``zeta_hat_eta_batch``.
+    P. Borwein, "An efficient algorithm for the Riemann zeta function", 2000,
+    algorithm 2: the terms are weighted by e_k, and n is the smallest length
+    whose truncation bound is <= 2^-52, about 0.9 |Im z| + 25 terms in the
+    strip.  Of ``config`` only ``guard_radius`` is read.  See SeriesValue for
+    ``est_error``.  This is the one-point case of ``zeta_hat_eta_batch``.
     """
     (value,) = zeta_hat_eta_batch([z], config)
     return value
@@ -268,34 +264,29 @@ def zeta_hat_eta_batch(points: Iterable[complex], config: EvalConfig) -> list[Se
         if z.real <= 0.0:
             raise DomainError(f"alternating-series evaluation requires Re z > 0, got {z!r}")
         prefactors.append(_eta_prefactor(z, config.guard_radius))
-        lengths.append(_borwein_length(z, prefactors[-1]) if config.accelerate
-                       else (config.n_terms, None))
+        lengths.append(_borwein_length(z, prefactors[-1]))
 
     groups: dict[int, list[int]] = {}
     for i, (n, _) in enumerate(lengths):
         groups.setdefault(n, []).append(i)
     out: list[SeriesValue] = [None] * len(zs)  # type: ignore[list-item]
     for n, members in groups.items():
-        weights = _borwein_weights(n) if config.accelerate else None
+        weights = _borwein_weights(n)
         rows = max(1, _BLOCK_ENTRIES // min(n, _CHUNK))
         for b in range(0, len(members), rows):
             block = members[b:b + rows]
             z, prefactor = [zs[i] for i in block], [prefactors[i] for i in block]
             (xi,) = _partial_sums(np.array(z), n, marks=(n,), alternating=True, weights=weights)
             values = (xi / np.array(prefactor)).astype(complex).tolist()
-            if weights is None:
-                errors = [float((n + 1) ** (-zi.real)) for zi in z]
-            else:
-                errors = [lengths[i][1] + rounding for i, rounding
-                          in zip(block, _rounding_bounds(z, prefactor, values, weights))]
-            for i, value, error in zip(block, values, errors):
-                out[i] = SeriesValue(value, n, "eta_prefactored", error)
+            rounding = _rounding_bounds(z, prefactor, values, weights)
+            for i, value, r in zip(block, values, rounding):
+                out[i] = SeriesValue(value, n, lengths[i][1] + r)
     return out
 
 
 def _rounding_bounds(z: list[complex], prefactor: list[complex], value: list[complex],
                      weights: np.ndarray) -> list[float]:
-    """First-order rounding bound of each accelerated value.
+    """First-order rounding bound of each value.
 
     A term exp(-z ln k) is off by (2 + |z| ln k) eps relative, its weighting
     by eps (the extended-precision sum adds about n 2^-64, less than

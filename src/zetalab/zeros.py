@@ -204,9 +204,6 @@ def scan_zeros(window: ScanWindow, config: EvalConfig) -> list[ZeroRecord]:
         raise WindowTooCoarse(
             f"step {window.step} > {MAX_SCAN_STEP} risks skipping zeros below t=100"
         )
-    if not config.accelerate:
-        raise ConfigError("scan_zeros needs an accelerated config; plain sums are too "
-                          "slow to reach the refinement tolerance")
 
     grid = window.grid()
     values, residuals = _evaluate(grid, config)

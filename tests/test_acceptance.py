@@ -11,7 +11,6 @@ import pytest
 
 from zetalab import (
     EvalConfig,
-    PLAIN_CONFIG,
     ScanWindow,
     error_scaling_scan,
     exponent_gap,
@@ -135,7 +134,7 @@ def test_criterion_4_zero_reproduction(first_ten_zeros):
 def test_criterion_5_error_scaling():
     watch = Stopwatch(60.0)
     grid = [2 ** j for j in range(8, 17)]
-    config = PLAIN_CONFIG  # hl_constant = 2 by default
+    config = EvalConfig()  # hl_constant = 2 by default
     assert config.hl_constant == 2.0
     worst = 0.0
     for sigma in (0.3, 0.5, 0.7):

@@ -6,7 +6,6 @@ import math
 import pytest
 
 from zetalab import (
-    PLAIN_CONFIG,
     DomainError,
     EvalConfig,
     PrefactorSingularityError,
@@ -19,7 +18,7 @@ ACCEL = EvalConfig()
 
 
 def fields(v):
-    return (v.value.real.hex(), v.value.imag.hex(), v.n_used, v.mode, v.est_error.hex())
+    return (v.value.real.hex(), v.value.imag.hex(), v.n_used, v.est_error.hex())
 
 
 def assert_matches_scalar(points, config=ACCEL):
@@ -81,10 +80,6 @@ class TestBatchEqualsScalar:
         assert len(blocks) >= 2
         assert max(blocks) == series._BLOCK_ENTRIES // n
         assert_matches_scalar(points)
-
-    def test_plain_mode(self):
-        points = [complex(sigma, t) for sigma in (0.1, 0.5, 0.9) for t in (0.0, -7.5, 30.0)]
-        assert_matches_scalar(points, PLAIN_CONFIG)
 
     def test_order_of_points_does_not_matter(self):
         points = [complex(0.5, 41.7 + 0.37 * i) for i in range(30)]

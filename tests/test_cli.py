@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from zetalab import EvalConfig, zeta_hat_eta
+from zetalab import DOUBLING_BUDGET, EvalConfig, series, zeta_hat_eta
 from zetalab.cli import build_parser, main, parse_complex, format_complex_flag
 
 import oracles
@@ -247,8 +247,9 @@ class TestDoublingCommand:
         ["--tolerance", "1e-8"],
     ])
     def test_evaluation_config_flags_are_usage_errors(self, capsys, flag):
-        # the experiment always sums plainly with the fixed plain config, so
-        # these flags would be echoed in the report without taking effect
+        # the experiment sums plain regularized sums to nbase*2^m and reads no
+        # config field, so these flags would be echoed in the report without
+        # taking effect
         code, _, err = run_cli(["doubling", "--zero-index", "1", *flag], capsys)
         assert code == 2
         assert flag[0] in err
@@ -299,6 +300,9 @@ class TestUnreadConfigFlags:
         (["errscan", "--z", "0.5+10i"], ["--accel-order", "30"]),
         (["zeros"], ["--n", "5000"]),
         (["errscan", "--z", "0.5+10i"], ["--n", "5000"]),
+        (["eval", "--z", "0.5+14i"], ["--no-accelerate"]),
+        (["residual"], ["--no-accelerate"]),
+        (["residual"], ["--n", "5000"]),
     ]
 
     @pytest.mark.parametrize("args,flag", CASES,
@@ -315,7 +319,7 @@ class TestReportConfig:
     # each report's config block holds exactly the config fields the command
     # reads
     CASES = [
-        (["eval", "--z", "0.5+14i"], ["n_terms", "accelerate", "guard_radius"]),
+        (["eval", "--z", "0.5+14i"], ["n_terms", "guard_radius"]),
         (["zeros", "--tmin", "14", "--tmax", "15"], ["guard_radius", "tolerance"]),
         (["doubling", "--zero-index", "1", "--nbase", "64", "--m", "2"], []),
         (["errscan", "--z", "0.5+10i", "--nmax", "4096"], ["hl_constant", "guard_radius"]),
@@ -335,10 +339,35 @@ class TestReportConfig:
         assert run_cli(["errscan", "--z", "0.5+10i", "--nmax", "4096",
                         "--csv", str(errscan), "--out", str(tmp_path / "e.json")],
                        capsys)[0] == 0
-        for path, fields in ((residual, ["n_terms", "accelerate", "guard_radius"]),
+        for path, fields in ((residual, ["guard_radius"]),
                              (errscan, ["hl_constant", "guard_radius"])):
             comment = path.read_text().splitlines()[0]
             assert list(json.loads(comment.removeprefix("# config: "))) == fields
+
+    def test_eval_series_value_keys(self, capsys):
+        code, out, _ = run_cli(["eval", "--z", "0.5+14i"], capsys)
+        assert code == 0
+        assert list(json.loads(out)["results"]["zeta_hat_eta"]) == ["value", "n_used", "est_error"]
+
+
+class TestTermBudget:
+    # a term count past the budget is refused before any series is summed,
+    # as doubling refuses a schedule past it
+    CASES = [
+        ["eval", "--z", "0.5+10i", "--n", str(DOUBLING_BUDGET + 1)],
+        ["eval", "--z", "0.5+10i", "--n", str(1 << 40)],
+        ["errscan", "--z", "0.5+10i", "--nmax", str(2 * DOUBLING_BUDGET)],
+        ["errscan", "--z", "0.5+10i", "--nmax", str(1 << 40)],
+    ]
+
+    @pytest.mark.parametrize("args", CASES, ids=[args[0] + args[-1] for args in CASES])
+    def test_usage_error_before_summing(self, capsys, monkeypatch, args):
+        def refuse(*args, **kwargs):
+            pytest.fail("a series was summed before the term budget was checked")
+        monkeypatch.setattr(series, "_partial_sums", refuse)
+        code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert "BudgetError" in err
 
 
 class TestDeterminism:

