@@ -7,7 +7,6 @@ doubling-ratio / error-scaling convergence experiments, with a CLI that
 emits deterministic JSON and CSV reports.
 """
 
-from .config import DEFAULT_CONFIG, DEFAULT_GUARD_RADIUS, EvalConfig
 from .errors import (
     BracketError,
     BudgetError,
@@ -31,9 +30,7 @@ from .experiments import (
     error_scaling_scan,
     exponent_gap,
     h_doubling,
-    modulus_limit_check,
     tail_count,
-    zeta_hat_doubling,
 )
 from .functional_equation import (
     ResidualReport,
@@ -52,7 +49,7 @@ from .series import (
     zeta_hat_regularized_schedule,
     zeta_partial,
 )
-from .special_functions import complex_power, complex_sin, gamma, log_gamma
+from .special_functions import DEFAULT_GUARD_RADIUS, log_gamma
 from .zeros import (
     CrosscheckReport,
     MatchedPair,
@@ -73,12 +70,10 @@ __all__ = [
     "BudgetError",
     "ConfigError",
     "CrosscheckReport",
-    "DEFAULT_CONFIG",
     "DEFAULT_GUARD_RADIUS",
     "DOUBLING_BUDGET",
     "DivisionByNearZero",
     "DomainError",
-    "EvalConfig",
     "InsufficientDomain",
     "MatchedPair",
     "NoConvergence",
@@ -95,14 +90,11 @@ __all__ = [
     "WindowTooCoarse",
     "ZeroRecord",
     "ZetaLabError",
-    "complex_power",
-    "complex_sin",
     "crosscheck_zeros",
     "error_scaling_scan",
     "eta_partial",
     "exponent_gap",
     "functional_equation_residual",
-    "gamma",
     "h_doubling",
     "h_factor",
     "h_ratio_finite",
@@ -111,12 +103,10 @@ __all__ = [
     "identity_residual_regularized",
     "load_zero_table",
     "log_gamma",
-    "modulus_limit_check",
     "reference_table_path",
     "refine_zero",
     "scan_zeros",
     "tail_count",
-    "zeta_hat_doubling",
     "zeta_hat_eta",
     "zeta_hat_eta_batch",
     "zeta_hat_regularized",

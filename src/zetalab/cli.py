@@ -8,9 +8,10 @@ Subcommands
     errscan   error-scaling scan with log-log slope fit
 
 Exit codes: 0 success, 1 tolerance/assertion or computation failure,
-2 usage/parse error.  Reports embed the evaluation-config fields the command
-reads; repeated runs with identical flags produce byte-identical config and
-results sections (timestamps are confined to the manifest).
+2 usage/parse error.  Each command takes only the evaluation flags it reads,
+and its report's config section holds exactly their values; repeated runs
+with identical flags produce byte-identical config and results sections
+(timestamps are confined to the manifest).
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import re
 import sys
 from datetime import datetime, timezone
 
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import BudgetError, ZetaLabError
 from .experiments import (
+    DEFAULT_HL_CONSTANT,
     DOUBLING_BUDGET,
     error_scaling_scan,
     exponent_gap,
@@ -40,7 +41,9 @@ from .reporting import (
     json_dumps,
 )
 from .series import zeta_hat_eta, zeta_hat_regularized, zeta_partial, eta_partial
+from .special_functions import DEFAULT_GUARD_RADIUS
 from .zeros import (
+    DEFAULT_TOLERANCE,
     ScanWindow,
     crosscheck_zeros,
     load_zero_table,
@@ -76,42 +79,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-#: Evaluation-config flags by EvalConfig field: (flag, dest, argparse keywords).
-_CONFIG_FLAGS = {
-    "n_terms": ("--n", "n", dict(
-        type=_positive_int, help="truncation index of the plain sums (default %(default)s, "
-                                 f"at most {DOUBLING_BUDGET})")),
-    "hl_constant": ("--hl-constant", "hl_constant", dict(
-        type=float, help="validity constant C > 1 in |Im z| <= 2*pi*n/C (default %(default)s)")),
-    "guard_radius": ("--guard-radius", "guard_radius", dict(
-        type=float, help="singularity guard radius (default %(default)s)")),
-    "tolerance": ("--tolerance", "tolerance", dict(
-        type=float, help="zero-refinement residual tolerance (default %(default)s)")),
-}
-
-
-def _add_config_flags(parser: argparse.ArgumentParser, *fields: str) -> None:
-    """Register the flags of the config fields a command reads.
-
-    The command's config takes the other fields from their defaults, and its
-    report echoes only these fields, so no flag or value is shown without
-    taking effect.
-    """
-    group = parser.add_argument_group("evaluation config")
-    for field in fields:
-        flag, dest, kwargs = _CONFIG_FLAGS[field]
-        group.add_argument(flag, dest=dest, default=getattr(DEFAULT_CONFIG, field), **kwargs)
-    parser.set_defaults(config_fields=fields)
-
-
-def _config_values(args) -> dict:
-    """The registered config fields and their values, in registration order."""
-    fields = getattr(args, "config_fields", ())
-    return {field: getattr(args, _CONFIG_FLAGS[field][1]) for field in fields}
-
-
-def _config_from(args) -> EvalConfig:
-    return EvalConfig(**_config_values(args))
+def _guard_radius(text: str) -> float:
+    # checked here rather than in the library: eval and residual report a
+    # per-point ZetaLabError instead of failing the run
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"guard_radius must be > 0, got {value}")
+    return value
 
 
 def format_complex_flag(z: complex) -> str:
@@ -134,8 +108,8 @@ def _manifest(command: str, args, keys: list[str]) -> dict:
     }
 
 
-def _report(manifest: dict, args, results: dict) -> dict:
-    return {"manifest": manifest, "config": _config_values(args), "results": results}
+def _report(manifest: dict, config: dict, results: dict) -> dict:
+    return {"manifest": manifest, "config": config, "results": results}
 
 
 def _series_value_dict(sv) -> dict:
@@ -155,10 +129,14 @@ def _emit(text: str, out_path) -> None:
 
 # ----------------------------------------------------------------- eval ----
 
+#: Default truncation index n of eval's three plain sums.
+EVAL_N_TERMS = 10_000
+
+
 def cmd_eval(args) -> int:
-    config = _config_from(args)
-    if config.n_terms > DOUBLING_BUDGET:
-        raise BudgetError(f"--n {config.n_terms} exceeds the term budget {DOUBLING_BUDGET}")
+    if args.n > DOUBLING_BUDGET:
+        raise BudgetError(f"--n {args.n} exceeds the term budget {DOUBLING_BUDGET}")
+    config = {"n_terms": args.n, "guard_radius": args.guard_radius}
     manifest = _manifest("eval", args, ["z", "n", "format"])
     z = args.z
     results: dict = {}
@@ -171,11 +149,11 @@ def cmd_eval(args) -> int:
             results[name] = {"error": type(exc).__name__, "detail": str(exc)}
             failures.append(type(exc).__name__)
 
-    attempt("zeta_partial", lambda: complex_pair(zeta_partial(z, config.n_terms)))
-    attempt("eta_partial", lambda: complex_pair(eta_partial(z, config.n_terms)))
+    attempt("zeta_partial", lambda: complex_pair(zeta_partial(z, args.n)))
+    attempt("eta_partial", lambda: complex_pair(eta_partial(z, args.n)))
     attempt("zeta_hat_regularized",
-            lambda: complex_pair(zeta_hat_regularized(z, config.n_terms, config.guard_radius)))
-    attempt("zeta_hat_eta", lambda: _series_value_dict(zeta_hat_eta(z, config)))
+            lambda: complex_pair(zeta_hat_regularized(z, args.n, args.guard_radius)))
+    attempt("zeta_hat_eta", lambda: _series_value_dict(zeta_hat_eta(z, args.guard_radius)))
 
     if args.format == "text":
         lines = [f"z = {format_float(z.real)}{z.imag:+.17g}i"]
@@ -190,10 +168,10 @@ def cmd_eval(args) -> int:
                 )
             else:
                 lines.append(f"{name:>22}: {format_float(payload['re'])} {payload['im']:+.17g}i"
-                             f"  (n = {config.n_terms})")
+                             f"  (n = {args.n})")
         text = "\n".join(lines) + "\n"
     else:
-        text = json_dumps(_report(manifest, args, results))
+        text = json_dumps(_report(manifest, config, results))
     _emit(text, args.out)
     if failures:
         print(f"error: {', '.join(sorted(set(failures)))}", file=sys.stderr)
@@ -206,7 +184,7 @@ def cmd_eval(args) -> int:
 def cmd_residual(args) -> int:
     if not (0.0 < args.rmin < args.rmax < 1.0):
         raise argparse.ArgumentTypeError("grid bounds must satisfy 0 < rmin < rmax < 1")
-    config = _config_from(args)
+    config = {"guard_radius": args.guard_radius}
 
     res = [args.rmin + i * (args.rmax - args.rmin) / (args.rcount - 1)
            for i in range(args.rcount)] if args.rcount > 1 else [args.rmin]
@@ -214,19 +192,13 @@ def cmd_residual(args) -> int:
            for i in range(args.icount)] if args.icount > 1 else [args.imin]
     points = [complex(r, t) for r in res for t in ims]
 
-    def evaluate(z):
-        try:
-            rep = functional_equation_residual(z, config)
-            return (z, rep, None)
-        except ZetaLabError as exc:
-            return (z, None, type(exc).__name__)
-
-    outcomes = [evaluate(z) for z in points]
     rows = []
     max_residual = 0.0
     skipped = 0
-    for z, rep, err in outcomes:
-        if rep is None:
+    for z in points:
+        try:
+            rep = functional_equation_residual(z, args.guard_radius)
+        except ZetaLabError:
             rows.append([float(z.real), float(z.imag), None, None, None, None, None, "skipped"])
             skipped += 1
             continue
@@ -240,7 +212,7 @@ def cmd_residual(args) -> int:
     text = csv_text(
         ["re", "im", "residual", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "status"],
         rows,
-        comments=[f"config: {json_compact(_config_values(args))}"],
+        comments=[f"config: {json_compact(config)}"],
     )
     atomic_write_text(args.out, text)
     # a grid whose every point was skipped checked nothing, so it cannot pass
@@ -256,10 +228,10 @@ def cmd_residual(args) -> int:
 # ---------------------------------------------------------------- zeros ----
 
 def cmd_zeros(args) -> int:
-    config = _config_from(args)
+    config = {"guard_radius": args.guard_radius, "tolerance": args.tolerance}
     manifest = _manifest("zeros", args, ["tmin", "tmax", "step", "reference", "match_tol"])
     window = ScanWindow(args.tmin, args.tmax, args.step)
-    records = scan_zeros(window, config)
+    records = scan_zeros(window, tolerance=args.tolerance, guard_radius=args.guard_radius)
     results: dict = {
         "window": {"t_min": window.t_min, "t_max": window.t_max, "step": window.step},
         "zeros": [
@@ -302,7 +274,7 @@ def cmd_zeros(args) -> int:
         if mismatches:
             exit_code = 1
 
-    _emit(json_dumps(_report(manifest, args, results)), args.out)
+    _emit(json_dumps(_report(manifest, config, results)), args.out)
     print(summary, file=sys.stderr)
     return exit_code
 
@@ -351,7 +323,7 @@ def cmd_doubling(args) -> int:
             "two_pow_one_minus_z": complex_pair(2.0 ** (1.0 - report.point)),
         },
     }
-    _emit(json_dumps(_report(manifest, args, results)), args.out)
+    _emit(json_dumps(_report(manifest, {}, results)), args.out)
 
     lines = [
         f"doubling at {point.real:+.6f}{point.imag:+.6f}i  "
@@ -379,7 +351,7 @@ def cmd_doubling(args) -> int:
 def cmd_errscan(args) -> int:
     if args.nmin >= args.nmax:
         raise argparse.ArgumentTypeError("--nmin must be below --nmax")
-    config = _config_from(args)
+    config = {"hl_constant": args.hl_constant, "guard_radius": args.guard_radius}
     manifest = _manifest("errscan", args, ["z", "nmin", "nmax", "csv"])
 
     j_min = max(0, math.ceil(math.log2(args.nmin)))
@@ -388,7 +360,8 @@ def cmd_errscan(args) -> int:
     if len(n_grid) < 2:
         raise argparse.ArgumentTypeError("n range too narrow: needs >= 2 powers of two")
 
-    report = error_scaling_scan(args.z, n_grid, config)
+    report = error_scaling_scan(args.z, n_grid, hl_constant=args.hl_constant,
+                                guard_radius=args.guard_radius)
     results = {
         "point": complex_pair(report.point),
         "n_grid": report.n_grid,
@@ -398,12 +371,12 @@ def cmd_errscan(args) -> int:
         "reference_slope": report.reference_slope,
         "slope_deviation": report.fitted_slope - report.reference_slope,
     }
-    _emit(json_dumps(_report(manifest, args, results)), args.out)
+    _emit(json_dumps(_report(manifest, config, results)), args.out)
 
     if args.csv:
         rows = [[n, e, ok] for n, e, ok in zip(report.n_grid, report.errors, report.domain_ok)]
         text = csv_text(["n", "error", "domain_ok"], rows,
-                        comments=[f"config: {json_compact(_config_values(args))}"])
+                        comments=[f"config: {json_compact(config)}"])
         atomic_write_text(args.csv, text)
 
     print(f"errscan at {args.z}: fitted slope {report.fitted_slope:+.4f} "
@@ -412,6 +385,9 @@ def cmd_errscan(args) -> int:
 
 
 # ----------------------------------------------------------------- main ----
+
+GUARD_RADIUS_HELP = "singularity guard radius (default %(default)s)"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -426,7 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="evaluation point, e.g. 0.5+14.134725i")
     p_eval.add_argument("--format", choices=("json", "text"), default="json")
     p_eval.add_argument("--out", default=None, help="write the report here instead of stdout")
-    _add_config_flags(p_eval, "n_terms", "guard_radius")
+    p_eval.add_argument("--n", type=_positive_int, default=EVAL_N_TERMS,
+                        help="truncation index of the plain sums (default %(default)s, "
+                             f"at most {DOUBLING_BUDGET})")
+    p_eval.add_argument("--guard-radius", type=_guard_radius, default=DEFAULT_GUARD_RADIUS,
+                        help=GUARD_RADIUS_HELP)
     p_eval.set_defaults(handler=cmd_eval)
 
     p_res = sub.add_parser("residual", help="functional-equation residual over a strip grid")
@@ -439,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--tol", type=float, default=1e-8,
                        help="max-residual pass threshold (default %(default)s)")
     p_res.add_argument("--out", default="residual_report.csv")
-    _add_config_flags(p_res, "guard_radius")
+    p_res.add_argument("--guard-radius", type=_guard_radius, default=DEFAULT_GUARD_RADIUS,
+                       help=GUARD_RADIUS_HELP)
     p_res.set_defaults(handler=cmd_residual)
 
     p_zeros = sub.add_parser("zeros", help="scan a critical-line window for zeros")
@@ -450,7 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="zero table to crosscheck (one ordinate per line)")
     p_zeros.add_argument("--match-tol", type=float, default=1e-6)
     p_zeros.add_argument("--out", default=None, help="write the report here instead of stdout")
-    _add_config_flags(p_zeros, "guard_radius", "tolerance")
+    p_zeros.add_argument("--guard-radius", type=_guard_radius, default=DEFAULT_GUARD_RADIUS,
+                         help=GUARD_RADIUS_HELP)
+    p_zeros.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                         help="bound on |zhat| at each zero (default %(default)s)")
     p_zeros.set_defaults(handler=cmd_zeros)
 
     # no abbreviations, so that a stray evaluation-config flag such as --n is
@@ -474,8 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_err.add_argument("--csv", default=None, help="also write (n, error) pairs as CSV")
     p_err.add_argument("--out", default=None, help="write the report here instead of stdout")
     # the measured sums run along the --nmin..--nmax grid and the reference
-    # picks its own length, so n_terms is not read
-    _add_config_flags(p_err, "hl_constant", "guard_radius")
+    # picks its own length, so there is no --n
+    p_err.add_argument("--hl-constant", type=float, default=DEFAULT_HL_CONSTANT,
+                       help="validity constant C > 1 in |Im z| <= 2*pi*n/C (default %(default)s)")
+    p_err.add_argument("--guard-radius", type=_guard_radius, default=DEFAULT_GUARD_RADIUS,
+                       help=GUARD_RADIUS_HELP)
     p_err.set_defaults(handler=cmd_errscan)
 
     return parser

@@ -11,7 +11,7 @@ class ZetaLabError(Exception):
 
 
 class ConfigError(ZetaLabError, ValueError):
-    """An :class:`~zetalab.config.EvalConfig` violates its invariants."""
+    """An evaluation parameter or scan window is out of its range."""
 
 
 class DomainError(ZetaLabError):

@@ -28,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EvalConfig
-from .errors import BudgetError, DivisionByNearZero, DomainError, InsufficientDomain
+from .errors import BudgetError, ConfigError, DivisionByNearZero, DomainError, InsufficientDomain
 from .functional_equation import NEAR_ZERO_DENOMINATOR
 from .series import mirror_is_conjugate, zeta_hat_eta, zeta_hat_regularized_schedule
+from .special_functions import DEFAULT_GUARD_RADIUS, LN_2
 
-#: Largest truncation index accepted by default: n_base * 2^m of a doubling
+#: Largest truncation index accepted: n_base * 2^m of a doubling
 #: schedule, the top of an error-scaling grid, and ``eval``'s plain sums.  It
 #: keeps any of them at double precision under a few seconds.
 DOUBLING_BUDGET = 1 << 24
@@ -41,8 +41,6 @@ DOUBLING_BUDGET = 1 << 24
 #: Complex log2 is defined modulo this imaginary period; exponent comparisons
 #: reduce into (-period/2, period/2].
 LOG2_IMAG_PERIOD = 2.0 * math.pi / math.log(2.0)
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -101,15 +99,15 @@ def exponent_gap(fitted: complex, reference: complex) -> complex:
     return complex(delta.real, reduced)
 
 
-def _doubling_marks(point: complex, n_base: int, m: int, budget: int) -> list[int]:
+def _doubling_marks(n_base: int, m: int) -> list[int]:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if n_base < 1:
         raise ValueError(f"n_base must be >= 1, got {n_base}")
     total = n_base << m
-    if total > budget:
+    if total > DOUBLING_BUDGET:
         raise BudgetError(
-            f"schedule n_base*2^m = {total} exceeds the term budget {budget}"
+            f"schedule n_base*2^m = {total} exceeds the term budget {DOUBLING_BUDGET}"
         )
     return [n_base << j for j in range(m + 1)]
 
@@ -123,23 +121,7 @@ def _ratios(values: list[complex], what: str) -> list[complex]:
     return out
 
 
-def zeta_hat_doubling(
-    point: complex, n_base: int, m: int, budget: int = DOUBLING_BUDGET
-) -> list[complex]:
-    """The sequence zhat_{2n}(point)/zhat_n(point) for n = n_base, 2 n_base,
-    ..., n_base*2^(m-1), from plain regularized sums.
-
-    At a zero the sequence settles on the empirical halving constant; at a
-    regular point it tends to 1.
-    """
-    marks = _doubling_marks(point, n_base, m, budget)
-    values = zeta_hat_regularized_schedule(point, marks)
-    return _ratios(values, f"zhat_n({point!r})")
-
-
-def h_doubling(
-    point: complex, n_base: int, m: int, budget: int = DOUBLING_BUDGET
-) -> RatioReport:
+def h_doubling(point: complex, n_base: int, m: int) -> RatioReport:
     """Full doubling report for H_n(point) = zhat_n(point)/zhat_n(1-point).
 
     The fitted exponent is the mean principal log2 of the last ceil(m/2)
@@ -148,7 +130,7 @@ def h_doubling(
     for bit (see ``mirror_is_conjugate``), so it costs no second pass.
     """
     point = complex(point)
-    marks = _doubling_marks(point, n_base, m, budget)
+    marks = _doubling_marks(n_base, m)
     values = zeta_hat_regularized_schedule(point, marks)
     values_mirror = ([v.conjugate() for v in values] if mirror_is_conjugate(point)
                      else zeta_hat_regularized_schedule(1.0 - point, marks))
@@ -161,7 +143,7 @@ def h_doubling(
     ratios = _ratios(h_values, f"H_n({point!r})")
     zh_ratios = _ratios(values, f"zhat_n({point!r})")
     tail = ratios[m - tail_count(m):]
-    fitted = sum(cmath.log(r) for r in tail) / (len(tail) * _LN2)
+    fitted = sum(cmath.log(r) for r in tail) / (len(tail) * LN_2)
     return RatioReport(
         point=point,
         n_base=n_base,
@@ -174,31 +156,25 @@ def h_doubling(
     )
 
 
-def modulus_limit_check(
-    point: complex, n_base: int, m: int, budget: int = DOUBLING_BUDGET
-) -> float:
-    """Mean of |log2 |H_{2n}/H_n|| over the schedule tail.
-
-    This is the measured proxy for |1 - 2 Re(point)|: it vanishes exactly
-    when the doubling-ratio modulus is 1, i.e. when Re(point) = 1/2.
-    """
-    report = h_doubling(point, n_base, m, budget)
-    tail = report.moduli[m - tail_count(m):]
-    return sum(abs(math.log2(r)) for r in tail) / len(tail)
+#: Default validity constant C > 1 of the bound |Im z| <= 2*pi*n/C.
+DEFAULT_HL_CONSTANT = 2.0
 
 
-def error_scaling_scan(
-    point: complex, n_grid: list[int], config: EvalConfig
-) -> ScalingReport:
+def error_scaling_scan(point: complex, n_grid: list[int], *,
+                       hl_constant: float = DEFAULT_HL_CONSTANT,
+                       guard_radius: float = DEFAULT_GUARD_RADIUS) -> ScalingReport:
     """Measure |zhat_n(point) - zhat(point)| over an n grid and fit its decay.
 
     The reference value comes from the Borwein series ``zeta_hat_eta``, whose
     a priori error bound lies near machine precision, far below the errors
     measured on the default grids.  Grid points violating the validity bound
-    |Im z| <= 2*pi*n/C are excluded from the fit; fewer than three surviving
-    points raises InsufficientDomain, and a grid reaching past
-    ``DOUBLING_BUDGET`` raises BudgetError before any sum is taken.
+    |Im z| <= 2*pi*n/C, C = ``hl_constant``, are excluded from the fit; fewer
+    than three surviving points raises InsufficientDomain.  A C not > 1
+    raises ConfigError, and a grid reaching past ``DOUBLING_BUDGET``
+    BudgetError, before any sum is taken.
     """
+    if not hl_constant > 1.0:
+        raise ConfigError(f"hl_constant must be > 1, got {hl_constant}")
     point = complex(point)
     if not 0.0 < point.real < 1.0:
         raise DomainError(f"scaling scan needs 0 < Re z < 1, got {point!r}")
@@ -208,17 +184,17 @@ def error_scaling_scan(
     if n_grid[-1] > DOUBLING_BUDGET:
         raise BudgetError(f"n_grid reaches {n_grid[-1]}, above the term budget {DOUBLING_BUDGET}")
 
-    threshold = config.hl_constant * abs(point.imag) / (2.0 * math.pi)
+    threshold = hl_constant * abs(point.imag) / (2.0 * math.pi)
     domain_ok = [n >= threshold for n in n_grid]
     usable = [i for i, ok in enumerate(domain_ok) if ok]
     if len(usable) < 3:
         raise InsufficientDomain(
             f"only {len(usable)} grid points satisfy |Im z| <= 2*pi*n/C "
-            f"(need n >= {threshold:.6g} with C={config.hl_constant}); at least 3 required"
+            f"(need n >= {threshold:.6g} with C={hl_constant}); at least 3 required"
         )
 
-    reference = zeta_hat_eta(point, config).value
-    values = zeta_hat_regularized_schedule(point, n_grid, config.guard_radius)
+    reference = zeta_hat_eta(point, guard_radius).value
+    values = zeta_hat_regularized_schedule(point, n_grid, guard_radius)
     errors = [abs(v - reference) for v in values]
 
     log_n = np.log([n_grid[i] for i in usable])

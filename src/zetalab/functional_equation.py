@@ -16,10 +16,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_GUARD_RADIUS, EvalConfig
 from .errors import DivisionByNearZero, DomainError, PoleError, SingularityError
 from .series import mirror_is_conjugate, zeta_hat_eta, zeta_hat_regularized
-from .special_functions import LN_2, LN_2PI, _require_finite, log_gamma, log_sin
+from .special_functions import (
+    DEFAULT_GUARD_RADIUS, LN_2, LN_2PI, _require_finite, log_gamma, log_sin,
+)
 
 #: Denominators below this are treated as exact zeros rather than data; at an
 #: actual zeta zero both ratio terms vanish at the same rate, so the finite-n
@@ -84,7 +85,9 @@ def h_ratio_finite(
     return numerator / denominator
 
 
-def functional_equation_residual(z: complex, config: EvalConfig) -> ResidualReport:
+def functional_equation_residual(
+    z: complex, guard_radius: float = DEFAULT_GUARD_RADIUS
+) -> ResidualReport:
     """Evaluate both sides of zhat(z) = H(z) zhat(1-z) and report |lhs - rhs|.
 
     Both sides use the prefactored alternating series (the same
@@ -97,7 +100,8 @@ def functional_equation_residual(z: complex, config: EvalConfig) -> ResidualRepo
     z = complex(z)
     if not 0.0 < z.real < 1.0:
         raise DomainError(f"residual check needs 0 < Re z < 1, got {z!r}")
-    lhs = zeta_hat_eta(z, config).value
-    mirror = lhs.conjugate() if mirror_is_conjugate(z) else zeta_hat_eta(1.0 - z, config).value
-    rhs = h_factor(z, config.guard_radius) * mirror
+    lhs = zeta_hat_eta(z, guard_radius).value
+    mirror = (lhs.conjugate() if mirror_is_conjugate(z)
+              else zeta_hat_eta(1.0 - z, guard_radius).value)
+    rhs = h_factor(z, guard_radius) * mirror
     return ResidualReport(z, lhs, rhs, abs(lhs - rhs))

@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_GUARD_RADIUS, EvalConfig
 from .errors import DomainError, PrefactorSingularityError, SingularityError
-from .special_functions import LN_2, _require_finite, log_gamma
+from .special_functions import DEFAULT_GUARD_RADIUS, LN_2, _require_finite, log_gamma
 
 _LD = np.clongdouble
 _RD = np.longdouble
@@ -235,20 +234,22 @@ def _borwein_length(z: complex, prefactor: complex) -> tuple[int, float]:
     return n, math.exp(log_scale - n * _LN_BORWEIN_RATE)
 
 
-def zeta_hat_eta(z: complex, config: EvalConfig) -> SeriesValue:
+def zeta_hat_eta(z: complex, guard_radius: float = DEFAULT_GUARD_RADIUS) -> SeriesValue:
     """zeta via the prefactored alternating series, valid for Re z > 0.
 
     P. Borwein, "An efficient algorithm for the Riemann zeta function", 2000,
     algorithm 2: the terms are weighted by e_k, and n is the smallest length
     whose truncation bound is <= 2^-52, about 0.9 |Im z| + 25 terms in the
-    strip.  Of ``config`` only ``guard_radius`` is read.  See SeriesValue for
-    ``est_error``.  This is the one-point case of ``zeta_hat_eta_batch``.
+    strip; ``guard_radius`` guards the zeros of 1 - 2^(1-z).  See SeriesValue
+    for ``est_error``.  This is the one-point case of ``zeta_hat_eta_batch``.
     """
-    (value,) = zeta_hat_eta_batch([z], config)
+    (value,) = zeta_hat_eta_batch([z], guard_radius)
     return value
 
 
-def zeta_hat_eta_batch(points: Iterable[complex], config: EvalConfig) -> list[SeriesValue]:
+def zeta_hat_eta_batch(
+    points: Iterable[complex], guard_radius: float = DEFAULT_GUARD_RADIUS
+) -> list[SeriesValue]:
     """``zeta_hat_eta`` at each of ``points``, bit for bit, in batched passes.
 
     The points are grouped by their series length n, which fixes the Borwein
@@ -263,7 +264,7 @@ def zeta_hat_eta_batch(points: Iterable[complex], config: EvalConfig) -> list[Se
     for z in zs:
         if z.real <= 0.0:
             raise DomainError(f"alternating-series evaluation requires Re z > 0, got {z!r}")
-        prefactors.append(_eta_prefactor(z, config.guard_radius))
+        prefactors.append(_eta_prefactor(z, guard_radius))
         lengths.append(_borwein_length(z, prefactors[-1]))
 
     groups: dict[int, list[int]] = {}

@@ -10,8 +10,10 @@ from __future__ import annotations
 import cmath
 import math
 
-from .config import DEFAULT_GUARD_RADIUS
 from .errors import PoleError
+
+#: Default guard radius around poles / singular points.
+DEFAULT_GUARD_RADIUS = 1e-6
 
 LN_2 = math.log(2.0)
 LN_PI = math.log(math.pi)
@@ -46,17 +48,6 @@ def _require_finite(z: complex, name: str = "z") -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"{name} must be finite, got {z!r}")
     return z
-
-
-def complex_power(base: int, exponent: complex) -> complex:
-    """k^(-z) for integer k >= 1, computed as exp(-z ln k).
-
-    This is the series term of the zeta partial sums; k = 1 gives exactly 1.
-    """
-    if base < 1:
-        raise ValueError(f"base must be a positive integer, got {base}")
-    z = _require_finite(exponent, "exponent")
-    return cmath.exp(-z * math.log(base))
 
 
 def _lanczos_log_gamma(z, log=cmath.log):
@@ -107,21 +98,3 @@ def log_gamma(z: complex) -> complex:
             raise PoleError(f"log_gamma: {z!r} within guard radius of pole at {nearest}")
         return LN_PI - log_sin(math.pi * z) - _lanczos_log_gamma(1 - z)
     return _lanczos_log_gamma(z)
-
-
-def gamma(z: complex) -> complex:
-    """Gamma(z) = exp(log_gamma(z)); reflection handles Re z < 0.5."""
-    value = cmath.exp(log_gamma(z))
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise OverflowError(f"gamma({z!r}) overflows double precision")
-    return value
-
-
-def complex_sin(z: complex) -> complex:
-    """Sine of a complex argument.
-
-    Raises OverflowError (from the underlying exp) when |Im z| is large
-    enough that cosh overflows the double range (~710).
-    """
-    z = _require_finite(z)
-    return cmath.sin(z)

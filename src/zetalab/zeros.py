@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import EvalConfig
 from .errors import (
     BracketError,
     ConfigError,
@@ -30,7 +29,7 @@ from .errors import (
     WindowTooCoarse,
 )
 from .series import zeta_hat_eta_batch
-from .special_functions import LN_PI, _lanczos_log_gamma
+from .special_functions import DEFAULT_GUARD_RADIUS, LN_PI, _lanczos_log_gamma
 
 #: Scan steps above this risk skipping zeros below t = 100: two zeros inside
 #: one step cancel each other's sign change.
@@ -44,6 +43,9 @@ MAX_REFINE_ITERATIONS = 60
 #: 0.05); the batched grid pass holds about 0.5 kB per point at once, so
 #: this keeps one scan's memory near 30 MB and its time bounded.
 GRID_BUDGET = 1 << 16
+
+#: Default bound on |zhat| at a reported zero.
+DEFAULT_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ class CrosscheckReport:
     tolerance: float
 
 
-def _evaluate(ts: list[float], config: EvalConfig) -> tuple[list[float], list[float]]:
+def _evaluate(ts: list[float], guard_radius: float) -> tuple[list[float], list[float]]:
     """(Z(t), |zhat(1/2 + i t)|) at each ordinate, from one batched series pass.
 
     theta(t) = Im log Gamma(w) - (t/2) ln pi with w = 1/4 + i t/2 is taken,
@@ -126,29 +128,36 @@ def _evaluate(ts: list[float], config: EvalConfig) -> tuple[list[float], list[fl
     so they evaluate the same function.
     """
     values = np.array([v.value for v in
-                       zeta_hat_eta_batch([complex(0.5, t) for t in ts], config)])
+                       zeta_hat_eta_batch([complex(0.5, t) for t in ts], guard_radius)])
     half_t = 0.5 * np.asarray(ts, dtype=float)
     w = 0.25 + 1j * half_t
     theta = (_lanczos_log_gamma(w + 1.0, np.log) - np.log(w)).imag - half_t * LN_PI
     return (np.exp(1j * theta) * values).real.tolist(), [abs(v) for v in values.tolist()]
 
 
-def hardy_z(t: float, config: EvalConfig) -> float:
+def hardy_z(t: float, *, guard_radius: float = DEFAULT_GUARD_RADIUS) -> float:
     """Hardy's Z(t) = Re(exp(i theta(t)) zhat(1/2 + i t)), real on the line."""
-    return _evaluate([float(t)], config)[0][0]
+    return _evaluate([float(t)], guard_radius)[0][0]
 
 
-def _checked(t: float, residual: float, config: EvalConfig, where: str,
+def _require_tolerance(tolerance: float) -> None:
+    # a nan tolerance would accept every zero
+    if not tolerance > 0.0:
+        raise ConfigError(f"tolerance must be > 0, got {tolerance}")
+
+
+def _checked(t: float, residual: float, tolerance: float, where: str,
              refined: bool) -> ZeroRecord:
-    if residual > config.tolerance:
+    if residual > tolerance:
         raise NoConvergence(
-            f"|zhat| = {residual:.3e} above tolerance {config.tolerance:.1e} at t={t!r} "
-            f"({where}); the evaluation config is too weak for this zero"
+            f"|zhat| = {residual:.3e} above tolerance {tolerance:.1e} at t={t!r} "
+            f"({where}); the tolerance is too tight for this zero"
         )
     return ZeroRecord(index=0, ordinate=t, residual_mag=residual, refined=refined)
 
 
-def refine_zero(t_lo: float, t_hi: float, config: EvalConfig, *,
+def refine_zero(t_lo: float, t_hi: float, *, tolerance: float = DEFAULT_TOLERANCE,
+                guard_radius: float = DEFAULT_GUARD_RADIUS,
                 z_lo: float | None = None, z_hi: float | None = None) -> ZeroRecord:
     """Refine the zero inside a sign-change bracket [t_lo, t_hi] of Z.
 
@@ -159,17 +168,18 @@ def refine_zero(t_lo: float, t_hi: float, config: EvalConfig, *,
     iterate, so it lies in the bracket, and ``residual_mag`` is |zhat| there.
 
     Raises BracketError unless Z(t_lo) and Z(t_hi) have strictly opposite
-    signs, and NoConvergence, naming the bracket, if |zhat| at the result is
-    above ``config.tolerance``: a sign change is a zero, so only a config too
-    weak to resolve it can fail here.
+    signs, ConfigError unless ``tolerance`` > 0, and NoConvergence, naming the
+    bracket, if |zhat| at the result is above ``tolerance``: a sign change is
+    a zero, so only a tolerance too tight to resolve it can fail here.
     """
+    _require_tolerance(tolerance)
     t_lo, t_hi = float(t_lo), float(t_hi)
     if not t_lo < t_hi:
         raise BracketError(f"bracket [{t_lo}, {t_hi}] is empty")
     if z_lo is None:
-        z_lo = hardy_z(t_lo, config)
+        z_lo = hardy_z(t_lo, guard_radius=guard_radius)
     if z_hi is None:
-        z_hi = hardy_z(t_hi, config)
+        z_hi = hardy_z(t_hi, guard_radius=guard_radius)
     if not z_lo * z_hi < 0.0:
         raise BracketError(
             f"Z has no sign change on [{t_lo}, {t_hi}]: Z = {z_lo:.3e}, {z_hi:.3e}"
@@ -179,7 +189,7 @@ def refine_zero(t_lo: float, t_hi: float, config: EvalConfig, *,
     a, fa, b, fb = t_lo, z_lo, t_hi, z_hi
     for _ in range(MAX_REFINE_ITERATIONS):
         t = b - fb * (b - a) / (fb - fa)
-        (z,), (residual,) = _evaluate([t], config)
+        (z,), (residual,) = _evaluate([t], guard_radius)
         if z * fb < 0.0:
             a, fa = b, fb
         else:
@@ -188,32 +198,35 @@ def refine_zero(t_lo: float, t_hi: float, config: EvalConfig, *,
         b, fb = t, z
         if z == 0.0 or step <= xtol:
             break
-    return _checked(b, residual, config, f"bracket [{t_lo}, {t_hi}]", refined=True)
+    return _checked(b, residual, tolerance, f"bracket [{t_lo}, {t_hi}]", refined=True)
 
 
-def scan_zeros(window: ScanWindow, config: EvalConfig) -> list[ZeroRecord]:
+def scan_zeros(window: ScanWindow, *, tolerance: float = DEFAULT_TOLERANCE,
+               guard_radius: float = DEFAULT_GUARD_RADIUS) -> list[ZeroRecord]:
     """Find all critical-line zeros inside the window.
 
     Evaluates Z on a grid from t_min to exactly t_max with spacing at most
     ``step``, refines every strict sign change between neighbouring points,
     and takes a grid point where Z is exactly 0 as a zero itself (with
     ``refined`` False).  Records are ordered (and 1-indexed) by ordinate.
-    Any zero that fails the residual check raises NoConvergence.
+    Any zero whose |zhat| exceeds ``tolerance`` raises NoConvergence.
     """
+    _require_tolerance(tolerance)
     if window.step > MAX_SCAN_STEP:
         raise WindowTooCoarse(
             f"step {window.step} > {MAX_SCAN_STEP} risks skipping zeros below t=100"
         )
 
     grid = window.grid()
-    values, residuals = _evaluate(grid, config)
+    values, residuals = _evaluate(grid, guard_radius)
 
     found: list[ZeroRecord] = []
     for i, (t, z, residual) in enumerate(zip(grid, values, residuals)):
         if z == 0.0:
-            found.append(_checked(t, residual, config, "grid point", refined=False))
+            found.append(_checked(t, residual, tolerance, "grid point", refined=False))
         elif i + 1 < len(grid) and z * values[i + 1] < 0.0:
-            found.append(refine_zero(t, grid[i + 1], config, z_lo=z, z_hi=values[i + 1]))
+            found.append(refine_zero(t, grid[i + 1], tolerance=tolerance,
+                                     guard_radius=guard_radius, z_lo=z, z_hi=values[i + 1]))
     return [replace(r, index=i) for i, r in enumerate(found, start=1)]
 
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from zetalab import (
-    EvalConfig,
     ScanWindow,
     error_scaling_scan,
     exponent_gap,
@@ -28,8 +27,6 @@ from zetalab import (
     crosscheck_zeros,
 )
 from zetalab.cli import main as cli_main
-
-ACCEL = EvalConfig()
 
 
 class Stopwatch:
@@ -59,7 +56,7 @@ def first_ten_zeros():
     runtime budget of both criteria that consume it.
     """
     start = time.perf_counter()
-    records = scan_zeros(ScanWindow(10.0, 50.0, 0.05), ACCEL)
+    records = scan_zeros(ScanWindow(10.0, 50.0, 0.05))
     return records, time.perf_counter() - start
 
 
@@ -86,7 +83,7 @@ def test_criterion_2_functional_equation_grid():
         sigma = 0.1 + 0.1 * i
         for j in range(13):
             t = 30.0 * j / 12.0
-            residual = functional_equation_residual(complex(sigma, t), ACCEL).residual
+            residual = functional_equation_residual(complex(sigma, t)).residual
             worst = max(worst, residual)
     assert worst <= 1e-8
     elapsed = watch.check()
@@ -121,8 +118,8 @@ def test_criterion_4_zero_reproduction(first_ten_zeros):
     worst_direct = worst_mirror = 0.0
     for record in records:
         rho = complex(0.5, record.ordinate)
-        worst_direct = max(worst_direct, abs(zeta_hat_eta(rho, ACCEL).value))
-        worst_mirror = max(worst_mirror, abs(zeta_hat_eta(1.0 - rho, ACCEL).value))
+        worst_direct = max(worst_direct, abs(zeta_hat_eta(rho).value))
+        worst_mirror = max(worst_mirror, abs(zeta_hat_eta(1.0 - rho).value))
     assert worst_direct <= 1e-8
     assert worst_mirror <= 1e-8
     elapsed = watch.check()
@@ -134,12 +131,10 @@ def test_criterion_4_zero_reproduction(first_ten_zeros):
 def test_criterion_5_error_scaling():
     watch = Stopwatch(60.0)
     grid = [2 ** j for j in range(8, 17)]
-    config = EvalConfig()  # hl_constant = 2 by default
-    assert config.hl_constant == 2.0
     worst = 0.0
     for sigma in (0.3, 0.5, 0.7):
         for t in (0.0, 7.0, 14.0, 20.0):
-            rep = error_scaling_scan(complex(sigma, t), grid, config)
+            rep = error_scaling_scan(complex(sigma, t), grid, hl_constant=2.0)
             assert all(rep.domain_ok)
             deviation = abs(rep.fitted_slope - rep.reference_slope)
             assert deviation <= 0.1, (sigma, t)
@@ -174,9 +169,9 @@ def test_criterion_6_doubling_experiment(first_ten_zeros):
         z = complex(rng.uniform(0.45, 0.55), rng.uniform(5.0, 45.0))
         if min(abs(z.imag - t) for t in zero_ordinates) < 0.5:
             continue
-        if abs(zeta_hat_eta(z, ACCEL).value) < 0.5:
+        if abs(zeta_hat_eta(z).value) < 0.5:
             continue
-        if abs(zeta_hat_eta(1.0 - z, ACCEL).value) < 0.5:
+        if abs(zeta_hat_eta(1.0 - z).value) < 0.5:
             continue
         controls.append(z)
     worst_control = 0.0
@@ -198,7 +193,7 @@ def test_criterion_7_representation_agreement():
     worst_ratio = 0.0
     for _ in range(50):
         z = complex(rng.uniform(0.1, 0.9), rng.uniform(-30.0, 30.0))
-        accelerated = zeta_hat_eta(z, ACCEL).value
+        accelerated = zeta_hat_eta(z).value
         regularized = zeta_hat_regularized(z, n)
         bound = 5.0 * n ** (-z.real)
         delta = abs(accelerated - regularized)

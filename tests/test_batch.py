@@ -7,29 +7,26 @@ import pytest
 
 from zetalab import (
     DomainError,
-    EvalConfig,
     PrefactorSingularityError,
     zeta_hat_eta,
     zeta_hat_eta_batch,
 )
 from zetalab import series
 
-ACCEL = EvalConfig()
-
 
 def fields(v):
     return (v.value.real.hex(), v.value.imag.hex(), v.n_used, v.est_error.hex())
 
 
-def assert_matches_scalar(points, config=ACCEL):
-    batch = zeta_hat_eta_batch(points, config)
-    assert [fields(v) for v in batch] == [fields(zeta_hat_eta(z, config)) for z in points]
+def assert_matches_scalar(points):
+    batch = zeta_hat_eta_batch(points)
+    assert [fields(v) for v in batch] == [fields(zeta_hat_eta(z)) for z in points]
     return batch
 
 
 def n_change_pair(sigma, t_lo, t_hi):
     """Two ordinates within 1e-9 of each other on either side of a change of n."""
-    n_at = lambda t: zeta_hat_eta(complex(sigma, t), ACCEL).n_used
+    n_at = lambda t: zeta_hat_eta(complex(sigma, t)).n_used
     assert n_at(t_lo) != n_at(t_hi)
     while t_hi - t_lo > 1e-9:
         mid = 0.5 * (t_lo + t_hi)
@@ -74,7 +71,7 @@ class TestBatchEqualsScalar:
         partial_sums = series._partial_sums
         monkeypatch.setattr(series, "_partial_sums", spy)
         points = [complex(0.5, 3000.0 + 0.01 * i) for i in range(60)]
-        n = zeta_hat_eta_batch(points, ACCEL)[0].n_used
+        n = zeta_hat_eta_batch(points)[0].n_used
         monkeypatch.undo()
         blocks = [size for m, size in rows if m == n]
         assert len(blocks) >= 2
@@ -83,12 +80,12 @@ class TestBatchEqualsScalar:
 
     def test_order_of_points_does_not_matter(self):
         points = [complex(0.5, 41.7 + 0.37 * i) for i in range(30)]
-        forward = zeta_hat_eta_batch(points, ACCEL)
-        backward = zeta_hat_eta_batch(points[::-1], ACCEL)
+        forward = zeta_hat_eta_batch(points)
+        backward = zeta_hat_eta_batch(points[::-1])
         assert [fields(v) for v in forward] == [fields(v) for v in backward[::-1]]
 
     def test_empty_batch(self):
-        assert zeta_hat_eta_batch([], ACCEL) == []
+        assert zeta_hat_eta_batch([]) == []
 
 
 class TestInvalidPoint:
@@ -102,7 +99,7 @@ class TestInvalidPoint:
     ])
     def test_raises_what_the_scalar_call_raises(self, bad, error):
         with pytest.raises(error) as scalar:
-            zeta_hat_eta(bad, ACCEL)
+            zeta_hat_eta(bad)
         with pytest.raises(error) as batch:
-            zeta_hat_eta_batch([complex(0.5, 20.0), bad, complex(0.5, 30.0)], ACCEL)
+            zeta_hat_eta_batch([complex(0.5, 20.0), bad, complex(0.5, 30.0)])
         assert type(batch.value) is type(scalar.value)

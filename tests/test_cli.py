@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from zetalab import DOUBLING_BUDGET, EvalConfig, series, zeta_hat_eta
-from zetalab.cli import build_parser, main, parse_complex, format_complex_flag
+from zetalab import DOUBLING_BUDGET, series, zeta_hat_eta
+from zetalab.cli import main, parse_complex, format_complex_flag
 
 import oracles
 
@@ -64,7 +64,7 @@ class TestEval:
         lines = {line.split(":")[0].strip(): line for line in out.splitlines()[1:]}
         # each value shows its own truncation index
         assert lines["zeta_partial"].endswith("(n = 10000)")
-        n_used = zeta_hat_eta(2 + 0j, EvalConfig()).n_used
+        n_used = zeta_hat_eta(2 + 0j).n_used
         assert n_used < 100
         assert f"(n = {n_used}, est_error " in lines["zeta_hat_eta"]
 
@@ -330,7 +330,6 @@ class TestReportConfig:
         out_path = tmp_path / "report.json"
         assert run_cli([*args, "--out", str(out_path)], capsys)[0] == 0
         assert list(json.loads(out_path.read_text())["config"]) == fields
-        assert list(getattr(build_parser().parse_args(args), "config_fields", ())) == fields
 
     def test_csv_config_comments(self, capsys, tmp_path):
         residual, errscan = tmp_path / "residual.csv", tmp_path / "errscan.csv"
@@ -348,6 +347,30 @@ class TestReportConfig:
         code, out, _ = run_cli(["eval", "--z", "0.5+14i"], capsys)
         assert code == 0
         assert list(json.loads(out)["results"]["zeta_hat_eta"]) == ["value", "n_used", "est_error"]
+
+
+class TestInvalidValues:
+    # a value out of range is refused before any series is summed
+    CASES = [
+        *[(args, ["--guard-radius", bad])
+          for args in (["eval", "--z", "0.5+14i"], ["residual"], ["zeros"],
+                       ["errscan", "--z", "0.5+10i"])
+          for bad in ("0", "-1", "nan")],
+        *[(["zeros"], ["--tolerance", bad]) for bad in ("0", "-1", "nan")],
+        *[(["errscan", "--z", "0.5+10i"], ["--hl-constant", bad]) for bad in ("1", "0.5", "nan")],
+    ]
+
+    @pytest.mark.parametrize("args,flag", CASES,
+                             ids=[args[0] + "".join(flag) for args, flag in CASES])
+    def test_usage_error_before_summing(self, capsys, monkeypatch, tmp_path, args, flag):
+        def refuse(*args, **kwargs):
+            pytest.fail("a series was summed before the value was checked")
+        monkeypatch.setattr(series, "_partial_sums", refuse)
+        monkeypatch.chdir(tmp_path)  # residual writes to its default output path
+        code, _, err = run_cli([*args, *flag], capsys)
+        assert code == 2
+        assert flag[0].removeprefix("--").replace("-", "_") in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestTermBudget:

@@ -5,15 +5,14 @@ import pytest
 
 from zetalab import (
     BudgetError,
+    ConfigError,
     DomainError,
-    EvalConfig,
     InsufficientDomain,
     error_scaling_scan,
     exponent_gap,
     h_doubling,
-    modulus_limit_check,
     tail_count,
-    zeta_hat_doubling,
+    zeta_hat_eta,
     zeta_hat_regularized,
 )
 from zetalab.experiments import LOG2_IMAG_PERIOD
@@ -23,34 +22,46 @@ import oracles
 RHO1 = complex(0.5, oracles.ZERO_ORDINATES_FIRST10[0])
 
 
+def zeta_hat_ratios(point, n_base, m):
+    """zhat_{2n}/zhat_n along the schedule n_base, ..., n_base*2^(m-1)."""
+    return h_doubling(point, n_base, m).zeta_hat_ratios
+
+
+def tail_log2_modulus(point, n_base, m):
+    """Mean of |log2 |H_{2n}/H_n|| over the schedule tail: the measured proxy
+    for |1 - 2 Re(point)|."""
+    tail = h_doubling(point, n_base, m).moduli[m - tail_count(m):]
+    return sum(abs(math.log2(r)) for r in tail) / len(tail)
+
+
 class TestZetaHatDoubling:
     def test_measured_halving_constant_at_first_zero(self):
         # the finite-n sums at a zero are dominated by their leading
         # truncation term, so the doubling ratio settles on 2^(-rho); the
         # report keeps both candidate constants side by side and the
         # measurement picks this one unambiguously
-        ratios = zeta_hat_doubling(RHO1, 1024, 6)
+        ratios = zeta_hat_ratios(RHO1, 1024, 6)
         tail_ratio = ratios[-1]
         assert abs(tail_ratio - oracles.TWO_POW_MINUS_RHO1) <= 1e-3
         assert abs(tail_ratio - oracles.TWO_POW_ONE_MINUS_RHO1) >= 0.5
 
     def test_ratios_tend_to_one_away_from_zeros(self):
-        ratios = zeta_hat_doubling(2 + 0j, 1024, 6)
+        ratios = zeta_hat_ratios(2 + 0j, 1024, 6)
         assert abs(ratios[-1] - 1.0) <= 1e-8
 
     def test_single_doubling_matches_direct_quotient(self):
-        ratios = zeta_hat_doubling(RHO1, 2048, 1)
+        ratios = zeta_hat_ratios(RHO1, 2048, 1)
         direct = zeta_hat_regularized(RHO1, 4096) / zeta_hat_regularized(RHO1, 2048)
         assert len(ratios) == 1
         assert abs(ratios[0] - direct) <= 1e-12
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
-            zeta_hat_doubling(RHO1, 1 << 20, 5)
+            zeta_hat_ratios(RHO1, 1 << 20, 5)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            zeta_hat_doubling(RHO1, 1024, 0)
+            zeta_hat_ratios(RHO1, 1024, 0)
 
 
 @pytest.fixture(scope="module")
@@ -92,15 +103,15 @@ class TestHDoubling:
 
 class TestModulusLimitCheck:
     def test_first_two_zeros(self):
-        assert modulus_limit_check(RHO1, 4096, 5) <= 0.02
+        assert tail_log2_modulus(RHO1, 4096, 5) <= 0.02
         rho2 = complex(0.5, oracles.ZERO_ORDINATES_FIRST10[1])
-        assert modulus_limit_check(rho2, 4096, 5) <= 0.02
+        assert tail_log2_modulus(rho2, 4096, 5) <= 0.02
 
     def test_control_point_stays_bounded_and_small_when_deep(self):
         # the control transient decays like n_base^(-1/4) but with an
         # oscillating phase, so adjacent schedules are not comparable; check
         # a bounded envelope and a small value on a deep schedule
-        ladder = [modulus_limit_check(complex(0.75, 5.0), 1 << j, 5)
+        ladder = [tail_log2_modulus(complex(0.75, 5.0), 1 << j, 5)
                   for j in (10, 14, 18)]
         assert all(value <= 0.15 for value in ladder)
         assert ladder[-1] <= 0.05
@@ -125,18 +136,18 @@ class TestErrorScalingScan:
     @pytest.mark.parametrize("point", [complex(0.5, 10.0), complex(0.75, 0.0),
                                        complex(0.3, 7.0)])
     def test_slope_matches_minus_re(self, point):
-        report = error_scaling_scan(point, self.GRID, EvalConfig())
+        report = error_scaling_scan(point, self.GRID)
         assert abs(report.fitted_slope - report.reference_slope) <= 0.1
         assert report.reference_slope == -point.real
 
     def test_errors_decrease_along_grid(self):
-        report = error_scaling_scan(complex(0.5, 10.0), self.GRID, EvalConfig())
+        report = error_scaling_scan(complex(0.5, 10.0), self.GRID)
         assert all(b < a for a, b in zip(report.errors, report.errors[1:]))
 
     def test_domain_flags(self):
         # |Im z| <= 2 pi n / C with C = 2 excludes the small-n points
         point = complex(0.5, 2000.0)
-        report = error_scaling_scan(point, self.GRID, EvalConfig())
+        report = error_scaling_scan(point, self.GRID)
         threshold = 2.0 * 2000.0 / (2.0 * math.pi)
         expected = [n >= threshold for n in self.GRID]
         assert report.domain_ok == expected
@@ -144,23 +155,25 @@ class TestErrorScalingScan:
 
     def test_insufficient_domain(self):
         with pytest.raises(InsufficientDomain):
-            error_scaling_scan(complex(0.5, 1e6), [2 ** j for j in range(8, 13)],
-                               EvalConfig())
+            error_scaling_scan(complex(0.5, 1e6), [2 ** j for j in range(8, 13)])
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
-            error_scaling_scan(complex(1.5, 1.0), self.GRID, EvalConfig())
+            error_scaling_scan(complex(1.5, 1.0), self.GRID)
         with pytest.raises(ValueError):
-            error_scaling_scan(complex(0.5, 1.0), [100, 100], EvalConfig())
+            error_scaling_scan(complex(0.5, 1.0), [100, 100])
+
+
+    @pytest.mark.parametrize("hl_constant", [1.0, 0.5, math.nan])
+    def test_hl_constant_must_exceed_one(self, hl_constant):
+        with pytest.raises(ConfigError):
+            error_scaling_scan(complex(0.5, 10.0), self.GRID, hl_constant=hl_constant)
 
 
 class TestNonZeroControls:
     def test_fitted_exponent_small_on_screened_sample(self):
         # non-zero control points: mid-strip, away from zero ordinates, with
         # both |zhat(z)| and |zhat(1-z)| bounded away from zero
-        config = EvalConfig()
-        from zetalab import zeta_hat_eta
-
         rng = np.random.default_rng(2024)
         accepted = []
         while len(accepted) < 6:
@@ -169,9 +182,9 @@ class TestNonZeroControls:
             if min(abs(t - z) for z in oracles.ZERO_ORDINATES_FIRST10) < 0.5:
                 continue
             z = complex(sigma, t)
-            if abs(zeta_hat_eta(z, config).value) < 0.5:
+            if abs(zeta_hat_eta(z).value) < 0.5:
                 continue
-            if abs(zeta_hat_eta(1.0 - z, config).value) < 0.5:
+            if abs(zeta_hat_eta(1.0 - z).value) < 0.5:
                 continue
             accepted.append(z)
         for z in accepted:

@@ -6,7 +6,6 @@ import pytest
 from zetalab import (
     DivisionByNearZero,
     DomainError,
-    EvalConfig,
     PoleError,
     SingularityError,
     functional_equation_residual,
@@ -15,8 +14,6 @@ from zetalab import (
 )
 
 import oracles
-
-ACCEL = EvalConfig()
 
 
 class TestHFactor:
@@ -97,23 +94,23 @@ class TestHRatioFinite:
 class TestResidual:
     def test_first_zero(self):
         rho = complex(0.5, oracles.ZERO_ORDINATES_FIRST10[0])
-        report = functional_equation_residual(rho, ACCEL)
+        report = functional_equation_residual(rho)
         assert report.residual <= 1e-8
         assert abs(report.lhs) <= 1e-8 and abs(report.rhs) <= 1e-8
 
     def test_generic_point(self):
-        report = functional_equation_residual(complex(0.3, 8.0), ACCEL)
+        report = functional_equation_residual(complex(0.3, 8.0))
         assert report.residual <= 1e-8
 
     def test_symmetry_point(self):
-        report = functional_equation_residual(0.5 + 0j, ACCEL)
+        report = functional_equation_residual(0.5 + 0j)
         assert report.residual <= 1e-10
 
     def test_residual_recomputable(self):
-        report = functional_equation_residual(complex(0.4, 3.0), ACCEL)
+        report = functional_equation_residual(complex(0.4, 3.0))
         assert report.residual == abs(report.lhs - report.rhs)
 
     def test_domain_validation(self):
         for z in (0j, 1 + 0j, complex(1.2, 3.0), complex(-0.1, 1.0)):
             with pytest.raises(DomainError):
-                functional_equation_residual(z, ACCEL)
+                functional_equation_residual(z)

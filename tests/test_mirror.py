@@ -5,7 +5,7 @@ bit (compared by float.hex, so the sign of a zero counts)."""
 import pytest
 
 from zetalab import (
-    EvalConfig,
+    DEFAULT_GUARD_RADIUS,
     functional_equation_residual,
     h_doubling,
     h_ratio_finite,
@@ -57,10 +57,10 @@ class TestConjugateExact:
         mirror = zeta_hat_regularized_schedule(1.0 - z, MARKS)
         assert hexes(mirror) == hexes(v.conjugate() for v in direct)
 
-    @pytest.mark.parametrize("config", [EvalConfig()], ids=["accel"])
+    @pytest.mark.parametrize("guard_radius", [DEFAULT_GUARD_RADIUS], ids=["accel"])
     @pytest.mark.parametrize("z", LINE_POINTS)
-    def test_zeta_hat_eta(self, z, config):
-        direct, mirror = zeta_hat_eta(z, config), zeta_hat_eta(1.0 - z, config)
+    def test_zeta_hat_eta(self, z, guard_radius):
+        direct, mirror = zeta_hat_eta(z, guard_radius), zeta_hat_eta(1.0 - z, guard_radius)
         assert hexes([mirror.value]) == hexes([direct.value.conjugate()])
         assert (mirror.n_used, mirror.est_error) == (direct.n_used, direct.est_error)
 
@@ -80,11 +80,11 @@ class TestShortcutMatchesTwoPass:
         shortcut = h_ratio_finite(z, n)
         assert hexes([shortcut]) == hexes([two_pass(monkeypatch, h_ratio_finite, z, n)])
 
-    @pytest.mark.parametrize("config", [EvalConfig()], ids=["accel"])
+    @pytest.mark.parametrize("guard_radius", [DEFAULT_GUARD_RADIUS], ids=["accel"])
     @pytest.mark.parametrize("z", LINE_POINTS)
-    def test_functional_equation_residual(self, z, config, monkeypatch):
-        reports = [functional_equation_residual(z, config),
-                   two_pass(monkeypatch, functional_equation_residual, z, config)]
+    def test_functional_equation_residual(self, z, guard_radius, monkeypatch):
+        reports = [functional_equation_residual(z, guard_radius),
+                   two_pass(monkeypatch, functional_equation_residual, z, guard_radius)]
         fields = [[*hexes([r.lhs, r.rhs]), r.residual.hex()] for r in reports]
         assert fields[0] == fields[1]
 
@@ -113,7 +113,7 @@ class TestPassCount:
     def test_series_passes_per_call(self, z, expected, passes):
         for evaluate in (lambda: h_doubling(z, 4, 3),
                          lambda: h_ratio_finite(z, 100),
-                         lambda: functional_equation_residual(z, EvalConfig())):
+                         lambda: functional_equation_residual(z)):
             passes.clear()
             evaluate()
             assert len(passes) == expected

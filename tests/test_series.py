@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from zetalab import (
     DomainError,
-    EvalConfig,
     PrefactorSingularityError,
     SingularityError,
     eta_partial,
@@ -18,11 +18,10 @@ from zetalab import (
     zeta_partial,
 )
 
+from zetalab import cli
 from zetalab.series import _partial_sums
 
 import oracles
-
-ACCEL = EvalConfig()
 
 
 class TestZetaPartial:
@@ -94,35 +93,37 @@ class TestZetaHatRegularized:
 class TestZetaHatEta:
     def test_prefactor_singularities(self):
         with pytest.raises(PrefactorSingularityError):
-            zeta_hat_eta(1 + 0j, ACCEL)
+            zeta_hat_eta(1 + 0j)
         spurious = complex(1.0, 2.0 * math.pi / math.log(2.0))
         with pytest.raises(PrefactorSingularityError):
-            zeta_hat_eta(spurious, ACCEL)
+            zeta_hat_eta(spurious)
 
     def test_domain_error_left_of_strip(self):
         for z in (0j, complex(-0.2, 5.0)):
             with pytest.raises(DomainError):
-                zeta_hat_eta(z, ACCEL)
+                zeta_hat_eta(z)
 
     def test_vanishes_at_first_zero(self):
-        sv = zeta_hat_eta(complex(0.5, oracles.ZERO_ORDINATES_FIRST10[0]), ACCEL)
+        sv = zeta_hat_eta(complex(0.5, oracles.ZERO_ORDINATES_FIRST10[0]))
         assert abs(sv.value) <= 1e-8
 
     def test_against_zeta_oracle_grid(self):
         for z, expected in oracles.ZETA_SAMPLES:
-            sv = zeta_hat_eta(z, ACCEL)
+            sv = zeta_hat_eta(z)
             assert abs(sv.value - expected) <= 1e-10, z
 
 
 class TestZetaHatEtaLongSums:
-    # the accelerated series picks its own length, so a long n_terms, even
-    # one past the 2^19 chunk size, must leave the value unchanged
+    # the Borwein series picks its own length, so eval's --n for the plain
+    # sums, even one past the 2^19 chunk size, must leave its value unchanged
     @pytest.mark.parametrize("n", [10_000, (1 << 19) + 5])
-    def test_against_zeta_oracle(self, n):
-        config = EvalConfig(n_terms=n)
+    def test_against_zeta_oracle(self, n, capsys):
         for z, zeta, _ in oracles.ZETA_DERIV_SAMPLES:
-            sv = zeta_hat_eta(z, config)
-            assert sv == zeta_hat_eta(z, ACCEL), (z, n)
+            sv = zeta_hat_eta(z)
+            assert cli.main(["eval", "--z", cli.format_complex_flag(z), "--n", str(n)]) == 0
+            reported = json.loads(capsys.readouterr().out)["results"]["zeta_hat_eta"]
+            value = complex(reported["value"]["re"], reported["value"]["im"])
+            assert (value, reported["n_used"]) == (sv.value, sv.n_used), (z, n)
             # zeta vanishes at the first sample, so its error is scaled by
             # max(1, |zeta|)
             assert abs(sv.value - zeta) <= 1e-10 * max(1.0, abs(zeta)), (z, n)
@@ -147,12 +148,12 @@ class TestBorweinKernel:
     @pytest.mark.parametrize("z,zeta", LARGE_T,
                              ids=[f"{z.real:g}+{z.imag:g}i" for z, _ in LARGE_T])
     def test_large_t_oracle(self, z, zeta):
-        sv = zeta_hat_eta(z, ACCEL)
+        sv = zeta_hat_eta(z)
         error = abs(sv.value - zeta)
         assert error <= 1e-10 * abs(zeta)
         assert error <= sv.est_error
         assert sv.n_used <= math.ceil(0.9 * abs(z.imag)) + 30
-        assert zeta_hat_eta(z, ACCEL) == sv
+        assert zeta_hat_eta(z) == sv
 
     def test_est_error_bounds_every_oracle(self):
         points = [*oracles.ZETA_SAMPLES,
@@ -161,11 +162,11 @@ class TestBorweinKernel:
                   (2 + 0j, oracles.ZETA_TWO),
                   (3 + 0j, oracles.ZETA_THREE)]
         for z, zeta in points:
-            sv = zeta_hat_eta(z, ACCEL)
+            sv = zeta_hat_eta(z)
             assert abs(sv.value - zeta) <= sv.est_error, z
         # |Z(t)| = |zeta(1/2 + it)|
         for t, hardy in oracles.HARDY_Z_SAMPLES:
-            sv = zeta_hat_eta(complex(0.5, t), ACCEL)
+            sv = zeta_hat_eta(complex(0.5, t))
             assert abs(abs(sv.value) - abs(hardy)) <= sv.est_error, t
 
 
@@ -210,14 +211,14 @@ class TestRepresentationConsistency:
         for _ in range(40):
             z = complex(rng.uniform(0.1, 0.9), rng.uniform(-30, 30))
             n = int(rng.integers(200, 5000))
-            eta_value = zeta_hat_eta(z, ACCEL)
+            eta_value = zeta_hat_eta(z)
             reg_value = zeta_hat_regularized(z, n)
             bound = eta_value.est_error + 2.0 * n ** (-z.real)
             assert abs(eta_value.value - reg_value) <= bound, (z, n)
 
     def test_agrees_with_plain_zeta_right_of_strip(self):
         for z in (2 + 0j, 3 + 0j, 2 + 5j):
-            sv = zeta_hat_eta(z, ACCEL)
+            sv = zeta_hat_eta(z)
             assert abs(sv.value - zeta_partial(z, 1_000_000)) <= 1e-4
 
 
@@ -226,8 +227,8 @@ class TestDeterminismAndSymmetry:
         z = complex(0.37, 18.25)
         assert zeta_partial(z, 5000) == zeta_partial(z, 5000)
         assert eta_partial(z, 5000) == eta_partial(z, 5000)
-        first = zeta_hat_eta(z, ACCEL)
-        second = zeta_hat_eta(z, ACCEL)
+        first = zeta_hat_eta(z)
+        second = zeta_hat_eta(z)
         assert first == second
 
     def test_conjugate_symmetry(self):
@@ -237,7 +238,7 @@ class TestDeterminismAndSymmetry:
             n = int(rng.integers(1, 3000))
             for fn in (lambda w: zeta_partial(w, n),
                        lambda w: eta_partial(w, n),
-                       lambda w: zeta_hat_eta(w, ACCEL).value):
+                       lambda w: zeta_hat_eta(w).value):
                 a = fn(z.conjugate())
                 b = fn(z).conjugate()
                 assert a == b or abs(a - b) <= 1e-15 * max(1.0, abs(b)), (z, n)

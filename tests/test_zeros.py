@@ -3,9 +3,9 @@ import math
 import pytest
 
 from zetalab import (
+    DEFAULT_GUARD_RADIUS,
     BracketError,
     ConfigError,
-    EvalConfig,
     NoConvergence,
     NonMonotonicError,
     ParseError,
@@ -25,8 +25,6 @@ from zetalab.series import _borwein_weights, _partial_sums
 from zetalab.zeros import ZeroRecord
 
 import oracles
-
-ACCEL = EvalConfig()
 
 
 class TestScanWindow:
@@ -52,7 +50,7 @@ class TestScanWindow:
             raise AssertionError("grid built")
         monkeypatch.setattr(ScanWindow, "grid", no_grid)
         with pytest.raises(ConfigError, match="grid budget"):
-            scan_zeros(ScanWindow(10.0, t_max, step), ACCEL)
+            scan_zeros(ScanWindow(10.0, t_max, step))
 
     def test_grid_at_budget(self):
         window = ScanWindow(0.0, zeros.GRID_BUDGET * 0.5, 0.5)
@@ -62,12 +60,12 @@ class TestScanWindow:
 
     def test_too_coarse(self):
         with pytest.raises(WindowTooCoarse):
-            scan_zeros(ScanWindow(10.0, 35.0, 0.6), ACCEL)
+            scan_zeros(ScanWindow(10.0, 35.0, 0.6))
 
 
 @pytest.fixture(scope="module")
 def five_records():
-    return scan_zeros(ScanWindow(10.0, 35.0, 0.05), ACCEL)
+    return scan_zeros(ScanWindow(10.0, 35.0, 0.05))
 
 
 class TestScan:
@@ -76,7 +74,7 @@ class TestScan:
         for record, expected in zip(five_records, oracles.ZERO_ORDINATES_FIRST10):
             assert abs(record.ordinate - expected) <= 1e-6
             assert record.refined
-            assert record.residual_mag <= ACCEL.tolerance
+            assert record.residual_mag <= zeros.DEFAULT_TOLERANCE
 
     def test_indices_and_ordering(self, five_records):
         assert [r.index for r in five_records] == [1, 2, 3, 4, 5]
@@ -88,7 +86,7 @@ class TestScan:
         # bound
         for record in five_records:
             rho = complex(0.5, record.ordinate)
-            n = 2 * zeta_hat_eta(rho, ACCEL).n_used
+            n = 2 * zeta_hat_eta(rho).n_used
             (xi,) = _partial_sums(rho, n, marks=(n,), alternating=True,
                                   weights=_borwein_weights(n))
             assert abs(complex(xi) / (1.0 - 2.0 ** (1.0 - rho))) <= 1e-8
@@ -97,18 +95,18 @@ class TestScan:
         # 1 - rho is a zero whenever rho is
         for record in five_records:
             mirrored = complex(0.5, -record.ordinate)
-            assert abs(zeta_hat_eta(mirrored, ACCEL).value) <= 1e-8
+            assert abs(zeta_hat_eta(mirrored).value) <= 1e-8
 
     def test_functional_equation_residual_at_zeros(self, five_records):
         for record in five_records:
             rho = complex(0.5, record.ordinate)
-            assert functional_equation_residual(rho, ACCEL).residual <= 1e-8
+            assert functional_equation_residual(rho).residual <= 1e-8
 
     def test_empty_below_first_zero(self):
-        assert scan_zeros(ScanWindow(0.0, 10.0, 0.05), ACCEL) == []
+        assert scan_zeros(ScanWindow(0.0, 10.0, 0.05)) == []
 
     def test_window_without_minimum_is_empty(self):
-        assert scan_zeros(ScanWindow(19.0, 19.5, 0.05), ACCEL) == []
+        assert scan_zeros(ScanWindow(19.0, 19.5, 0.05)) == []
 
     def test_ordinates_match_table_to_rounding(self, five_records):
         table = load_zero_table(reference_table_path())
@@ -119,7 +117,7 @@ class TestScan:
                                         ScanWindow(10.0, 14.14, 0.05)],
                              ids=["first-step", "last-step"])
     def test_zero_in_first_or_last_grid_step(self, window):
-        records = scan_zeros(window, ACCEL)
+        records = scan_zeros(window)
         assert len(records) == 1
         assert abs(records[0].ordinate - oracles.ZERO_ORDINATES_FIRST10[0]) <= 1e-12
 
@@ -130,61 +128,69 @@ class TestScan:
         misses = []
         evaluate = zeros._evaluate
 
-        def counted(ts, config):
-            result = evaluate(ts, config)
+        def counted(ts, guard_radius):
+            result = evaluate(ts, guard_radius)
             misses.append(_borwein_weights.cache_info().misses)
             return result
         monkeypatch.setattr(zeros, "_evaluate", counted)
-        assert len(scan_zeros(ScanWindow(77.1, 97.1, 0.05), ACCEL)) == 9
+        assert len(scan_zeros(ScanWindow(77.1, 97.1, 0.05))) == 9
         assert misses[0] == 19 and len(misses) > 1 and misses[-1] == misses[0]
 
     def test_scan_is_deterministic(self, five_records):
-        again = scan_zeros(ScanWindow(10.0, 35.0, 0.05), ACCEL)
+        again = scan_zeros(ScanWindow(10.0, 35.0, 0.05))
         assert again == five_records
 
 
 class TestRefine:
     def test_from_bracket(self):
-        record = refine_zero(14.1, 14.2, ACCEL)
+        record = refine_zero(14.1, 14.2)
         assert abs(record.ordinate - oracles.ZERO_ORDINATES_FIRST10[0]) <= 1e-8
         assert record.refined
-        assert record.residual_mag <= ACCEL.tolerance
+        assert record.residual_mag <= zeros.DEFAULT_TOLERANCE
         # agrees with the rotated-sign bisection oracle too
         assert abs(record.ordinate - oracles.ZERO1_BISECTION) <= 1e-8
 
     def test_tight_bracket_around_zero(self):
         t = oracles.ZERO_ORDINATES_FIRST10[1]
-        record = refine_zero(t - 1e-9, t + 1e-9, ACCEL)
+        record = refine_zero(t - 1e-9, t + 1e-9)
         assert abs(record.ordinate - t) <= 1e-10
 
     @pytest.mark.parametrize("t_lo,t_hi", [(13.0, 14.0), (14.2, 14.1), (14.1, 14.1)])
     def test_bracket_without_sign_change_raises(self, t_lo, t_hi):
         # Z < 0 on [13, 14]; the other two brackets are empty
         with pytest.raises(BracketError) as info:
-            refine_zero(t_lo, t_hi, ACCEL)
+            refine_zero(t_lo, t_hi)
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-10, math.nan])
+    def test_tolerance_must_be_positive(self, tolerance):
+        # refused before any evaluation: a nan tolerance would accept any zero
+        with pytest.raises(ConfigError):
+            refine_zero(14.1, 14.2, tolerance=tolerance)
+        with pytest.raises(ConfigError):
+            scan_zeros(ScanWindow(10.0, 35.0, 0.05), tolerance=tolerance)
 
     def test_weak_config_raises_and_names_the_bracket(self):
         # |zhat| at a refined zero is rounding noise far above 1e-30, so the
         # first sign change cannot pass the residual check; it is not dropped
         with pytest.raises(NoConvergence, match=r"bracket \[72\.05"):
-            scan_zeros(ScanWindow(70.0, 90.0, 0.05), EvalConfig(tolerance=1e-30))
+            scan_zeros(ScanWindow(70.0, 90.0, 0.05), tolerance=1e-30)
 
 
 class TestHardyZ:
     @pytest.mark.parametrize("t,expected", oracles.HARDY_Z_SAMPLES)
     def test_against_siegelz_oracle(self, t, expected):
-        assert abs(hardy_z(t, ACCEL) - expected) <= 1e-10 * max(1.0, abs(expected))
+        assert abs(hardy_z(t) - expected) <= 1e-10 * max(1.0, abs(expected))
 
     def test_grid_and_one_point_calls_agree_bit_for_bit(self):
         # the scan grid is one batched call and refinement calls one ordinate
         # at a time; both must evaluate the same function
         grid = ScanWindow(41.7, 61.7, 0.05).grid()
-        values, residuals = zeros._evaluate(grid, ACCEL)
+        values, residuals = zeros._evaluate(grid, DEFAULT_GUARD_RADIUS)
         for i in range(0, len(grid), 23):
-            (z,), (residual,) = zeros._evaluate([grid[i]], ACCEL)
+            (z,), (residual,) = zeros._evaluate([grid[i]], DEFAULT_GUARD_RADIUS)
             assert (z.hex(), residual.hex()) == (values[i].hex(), residuals[i].hex())
-            assert hardy_z(grid[i], ACCEL).hex() == values[i].hex()
+            assert hardy_z(grid[i]).hex() == values[i].hex()
 
 
 class TestScanLogic:
@@ -194,7 +200,7 @@ class TestScanLogic:
     @staticmethod
     def synthetic(monkeypatch, f, calls=None):
         # the array form: one call per grid, a one-point list per refinement step
-        def evaluate(ts, config):
+        def evaluate(ts, guard_radius):
             if calls is not None:
                 calls.append(list(ts))
             values = [f(t) for t in ts]
@@ -208,7 +214,7 @@ class TestScanLogic:
         calls = []
         self.synthetic(monkeypatch, lambda t: 1.0, calls)
         step = 0.05
-        assert scan_zeros(ScanWindow(t_min, t_max, step), ACCEL) == []
+        assert scan_zeros(ScanWindow(t_min, t_max, step)) == []
         (seen,) = calls  # the whole grid in one batch
         assert seen[0] == t_min and seen[-1] == t_max
         assert len(seen) == count
@@ -219,7 +225,7 @@ class TestScanLogic:
         # from the left, exhausting the iteration bound
         calls = []
         self.synthetic(monkeypatch, math.expm1, calls)
-        record = refine_zero(-1.0, 10.0, ACCEL)
+        record = refine_zero(-1.0, 10.0)
         assert abs(record.ordinate) <= 1e-12
         assert all(len(ts) == 1 for ts in calls)  # one ordinate per step
         assert len(calls) <= 30
@@ -227,7 +233,7 @@ class TestScanLogic:
     def test_exact_grid_zero_and_sign_change(self, monkeypatch):
         # 12.5 = 10 + 50 * 0.05 exactly, so Z is 0.0 at that grid point
         self.synthetic(monkeypatch, lambda t: (t - 12.5) * (t - 13.33))
-        records = scan_zeros(ScanWindow(10.0, 15.0, 0.05), ACCEL)
+        records = scan_zeros(ScanWindow(10.0, 15.0, 0.05))
         assert [r.index for r in records] == [1, 2]
         assert records[0].ordinate == 12.5 and not records[0].refined
         assert records[1].ordinate == pytest.approx(13.33, abs=1e-12)
