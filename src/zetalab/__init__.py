@@ -49,7 +49,7 @@ from .series import (
     zeta_hat_regularized_schedule,
     zeta_partial,
 )
-from .special_functions import DEFAULT_GUARD_RADIUS, log_gamma
+from .special_functions import GUARD_RADIUS, log_gamma
 from .zeros import (
     CrosscheckReport,
     MatchedPair,
@@ -70,10 +70,10 @@ __all__ = [
     "BudgetError",
     "ConfigError",
     "CrosscheckReport",
-    "DEFAULT_GUARD_RADIUS",
     "DOUBLING_BUDGET",
     "DivisionByNearZero",
     "DomainError",
+    "GUARD_RADIUS",
     "InsufficientDomain",
     "MatchedPair",
     "NoConvergence",

@@ -9,9 +9,12 @@ Subcommands
 
 Exit codes: 0 success, 1 tolerance/assertion or computation failure,
 2 usage/parse error.  Each command takes only the evaluation flags it reads,
-and its report's config section holds exactly their values; repeated runs
-with identical flags produce byte-identical config and results sections
-(timestamps are confined to the manifest).
+and its report's config section holds exactly their values: n_terms for
+eval, tolerance for zeros, hl_constant for errscan, and none for residual and
+doubling.  No flag sets the singularity guard; points within
+``special_functions.GUARD_RADIUS`` of a singularity are always refused.
+Repeated runs with identical flags produce byte-identical config and results
+sections (timestamps are confined to the manifest).
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .reporting import (
     json_dumps,
 )
 from .series import zeta_hat_eta, zeta_hat_regularized, zeta_partial, eta_partial
-from .special_functions import DEFAULT_GUARD_RADIUS
 from .zeros import (
     DEFAULT_TOLERANCE,
     ScanWindow,
@@ -76,15 +78,6 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
-def _guard_radius(text: str) -> float:
-    # checked here rather than in the library: eval and residual report a
-    # per-point ZetaLabError instead of failing the run
-    value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"guard_radius must be > 0, got {value}")
     return value
 
 
@@ -136,7 +129,7 @@ EVAL_N_TERMS = 10_000
 def cmd_eval(args) -> int:
     if args.n > DOUBLING_BUDGET:
         raise BudgetError(f"--n {args.n} exceeds the term budget {DOUBLING_BUDGET}")
-    config = {"n_terms": args.n, "guard_radius": args.guard_radius}
+    config = {"n_terms": args.n}
     manifest = _manifest("eval", args, ["z", "n", "format"])
     z = args.z
     results: dict = {}
@@ -152,8 +145,8 @@ def cmd_eval(args) -> int:
     attempt("zeta_partial", lambda: complex_pair(zeta_partial(z, args.n)))
     attempt("eta_partial", lambda: complex_pair(eta_partial(z, args.n)))
     attempt("zeta_hat_regularized",
-            lambda: complex_pair(zeta_hat_regularized(z, args.n, args.guard_radius)))
-    attempt("zeta_hat_eta", lambda: _series_value_dict(zeta_hat_eta(z, args.guard_radius)))
+            lambda: complex_pair(zeta_hat_regularized(z, args.n)))
+    attempt("zeta_hat_eta", lambda: _series_value_dict(zeta_hat_eta(z)))
 
     if args.format == "text":
         lines = [f"z = {format_float(z.real)}{z.imag:+.17g}i"]
@@ -184,8 +177,6 @@ def cmd_eval(args) -> int:
 def cmd_residual(args) -> int:
     if not (0.0 < args.rmin < args.rmax < 1.0):
         raise argparse.ArgumentTypeError("grid bounds must satisfy 0 < rmin < rmax < 1")
-    config = {"guard_radius": args.guard_radius}
-
     res = [args.rmin + i * (args.rmax - args.rmin) / (args.rcount - 1)
            for i in range(args.rcount)] if args.rcount > 1 else [args.rmin]
     ims = [args.imin + i * (args.imax - args.imin) / (args.icount - 1)
@@ -197,7 +188,7 @@ def cmd_residual(args) -> int:
     skipped = 0
     for z in points:
         try:
-            rep = functional_equation_residual(z, args.guard_radius)
+            rep = functional_equation_residual(z)
         except ZetaLabError:
             rows.append([float(z.real), float(z.imag), None, None, None, None, None, "skipped"])
             skipped += 1
@@ -212,7 +203,7 @@ def cmd_residual(args) -> int:
     text = csv_text(
         ["re", "im", "residual", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "status"],
         rows,
-        comments=[f"config: {json_compact(config)}"],
+        comments=["config: {}"],  # residual reads no evaluation config
     )
     atomic_write_text(args.out, text)
     # a grid whose every point was skipped checked nothing, so it cannot pass
@@ -228,10 +219,10 @@ def cmd_residual(args) -> int:
 # ---------------------------------------------------------------- zeros ----
 
 def cmd_zeros(args) -> int:
-    config = {"guard_radius": args.guard_radius, "tolerance": args.tolerance}
+    config = {"tolerance": args.tolerance}
     manifest = _manifest("zeros", args, ["tmin", "tmax", "step", "reference", "match_tol"])
     window = ScanWindow(args.tmin, args.tmax, args.step)
-    records = scan_zeros(window, tolerance=args.tolerance, guard_radius=args.guard_radius)
+    records = scan_zeros(window, tolerance=args.tolerance)
     results: dict = {
         "window": {"t_min": window.t_min, "t_max": window.t_max, "step": window.step},
         "zeros": [
@@ -286,6 +277,8 @@ def cmd_doubling(args) -> int:
         raise argparse.ArgumentTypeError("provide either --z or --zero-index")
     if args.z is not None and args.zero_index is not None:
         raise argparse.ArgumentTypeError("--z and --zero-index are mutually exclusive")
+    if args.zero_table is not None and args.zero_index is None:
+        raise argparse.ArgumentTypeError("--zero-table is read only with --zero-index")
 
     manifest = _manifest("doubling", args, ["z", "zero_index", "zero_table", "nbase", "m"])
 
@@ -351,7 +344,7 @@ def cmd_doubling(args) -> int:
 def cmd_errscan(args) -> int:
     if args.nmin >= args.nmax:
         raise argparse.ArgumentTypeError("--nmin must be below --nmax")
-    config = {"hl_constant": args.hl_constant, "guard_radius": args.guard_radius}
+    config = {"hl_constant": args.hl_constant}
     manifest = _manifest("errscan", args, ["z", "nmin", "nmax", "csv"])
 
     j_min = max(0, math.ceil(math.log2(args.nmin)))
@@ -360,8 +353,7 @@ def cmd_errscan(args) -> int:
     if len(n_grid) < 2:
         raise argparse.ArgumentTypeError("n range too narrow: needs >= 2 powers of two")
 
-    report = error_scaling_scan(args.z, n_grid, hl_constant=args.hl_constant,
-                                guard_radius=args.guard_radius)
+    report = error_scaling_scan(args.z, n_grid, hl_constant=args.hl_constant)
     results = {
         "point": complex_pair(report.point),
         "n_grid": report.n_grid,
@@ -386,9 +378,6 @@ def cmd_errscan(args) -> int:
 
 # ----------------------------------------------------------------- main ----
 
-GUARD_RADIUS_HELP = "singularity guard radius (default %(default)s)"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zetalab",
@@ -405,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--n", type=_positive_int, default=EVAL_N_TERMS,
                         help="truncation index of the plain sums (default %(default)s, "
                              f"at most {DOUBLING_BUDGET})")
-    p_eval.add_argument("--guard-radius", type=_guard_radius, default=DEFAULT_GUARD_RADIUS,
-                        help=GUARD_RADIUS_HELP)
     p_eval.set_defaults(handler=cmd_eval)
 
     p_res = sub.add_parser("residual", help="functional-equation residual over a strip grid")
@@ -419,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--tol", type=float, default=1e-8,
                        help="max-residual pass threshold (default %(default)s)")
     p_res.add_argument("--out", default="residual_report.csv")
-    p_res.add_argument("--guard-radius", type=_guard_radius, default=DEFAULT_GUARD_RADIUS,
-                       help=GUARD_RADIUS_HELP)
     p_res.set_defaults(handler=cmd_residual)
 
     p_zeros = sub.add_parser("zeros", help="scan a critical-line window for zeros")
@@ -431,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="zero table to crosscheck (one ordinate per line)")
     p_zeros.add_argument("--match-tol", type=float, default=1e-6)
     p_zeros.add_argument("--out", default=None, help="write the report here instead of stdout")
-    p_zeros.add_argument("--guard-radius", type=_guard_radius, default=DEFAULT_GUARD_RADIUS,
-                         help=GUARD_RADIUS_HELP)
     p_zeros.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                          help="bound on |zhat| at each zero (default %(default)s)")
     p_zeros.set_defaults(handler=cmd_zeros)
@@ -444,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dbl.add_argument("--z", type=parse_complex, default=None)
     p_dbl.add_argument("--zero-index", type=_positive_int, default=None,
                        help="1-based index into the zero table (default: packaged table)")
-    p_dbl.add_argument("--zero-table", default=None)
+    p_dbl.add_argument("--zero-table", default=None,
+                       help="zero table that --zero-index reads (default: packaged table)")
     p_dbl.add_argument("--nbase", type=_positive_int, default=4096)
     p_dbl.add_argument("--m", type=_positive_int, default=5,
                        help="number of doublings (budget n_base*2^m <= %d)" % DOUBLING_BUDGET)
@@ -461,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     # picks its own length, so there is no --n
     p_err.add_argument("--hl-constant", type=float, default=DEFAULT_HL_CONSTANT,
                        help="validity constant C > 1 in |Im z| <= 2*pi*n/C (default %(default)s)")
-    p_err.add_argument("--guard-radius", type=_guard_radius, default=DEFAULT_GUARD_RADIUS,
-                       help=GUARD_RADIUS_HELP)
     p_err.set_defaults(handler=cmd_errscan)
 
     return parser

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import BudgetError, ConfigError, DivisionByNearZero, DomainError, InsufficientDomain
 from .functional_equation import NEAR_ZERO_DENOMINATOR
 from .series import mirror_is_conjugate, zeta_hat_eta, zeta_hat_regularized_schedule
-from .special_functions import DEFAULT_GUARD_RADIUS, LN_2
+from .special_functions import LN_2
 
 #: Largest truncation index accepted: n_base * 2^m of a doubling
 #: schedule, the top of an error-scaling grid, and ``eval``'s plain sums.  It
@@ -161,20 +161,19 @@ DEFAULT_HL_CONSTANT = 2.0
 
 
 def error_scaling_scan(point: complex, n_grid: list[int], *,
-                       hl_constant: float = DEFAULT_HL_CONSTANT,
-                       guard_radius: float = DEFAULT_GUARD_RADIUS) -> ScalingReport:
+                       hl_constant: float = DEFAULT_HL_CONSTANT) -> ScalingReport:
     """Measure |zhat_n(point) - zhat(point)| over an n grid and fit its decay.
 
     The reference value comes from the Borwein series ``zeta_hat_eta``, whose
     a priori error bound lies near machine precision, far below the errors
     measured on the default grids.  Grid points violating the validity bound
     |Im z| <= 2*pi*n/C, C = ``hl_constant``, are excluded from the fit; fewer
-    than three surviving points raises InsufficientDomain.  A C not > 1
-    raises ConfigError, and a grid reaching past ``DOUBLING_BUDGET``
+    than three surviving points raises InsufficientDomain.  A C not finite
+    and > 1 raises ConfigError, and a grid reaching past ``DOUBLING_BUDGET``
     BudgetError, before any sum is taken.
     """
-    if not hl_constant > 1.0:
-        raise ConfigError(f"hl_constant must be > 1, got {hl_constant}")
+    if not 1.0 < hl_constant < math.inf:
+        raise ConfigError(f"hl_constant must be finite and > 1, got {hl_constant}")
     point = complex(point)
     if not 0.0 < point.real < 1.0:
         raise DomainError(f"scaling scan needs 0 < Re z < 1, got {point!r}")
@@ -193,8 +192,8 @@ def error_scaling_scan(point: complex, n_grid: list[int], *,
             f"(need n >= {threshold:.6g} with C={hl_constant}); at least 3 required"
         )
 
-    reference = zeta_hat_eta(point, guard_radius).value
-    values = zeta_hat_regularized_schedule(point, n_grid, guard_radius)
+    reference = zeta_hat_eta(point).value
+    values = zeta_hat_regularized_schedule(point, n_grid)
     errors = [abs(v - reference) for v in values]
 
     log_n = np.log([n_grid[i] for i in usable])

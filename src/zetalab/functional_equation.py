@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DivisionByNearZero, DomainError, PoleError, SingularityError
 from .series import mirror_is_conjugate, zeta_hat_eta, zeta_hat_regularized
-from .special_functions import (
-    DEFAULT_GUARD_RADIUS, LN_2, LN_2PI, _require_finite, log_gamma, log_sin,
-)
+from .special_functions import GUARD_RADIUS, LN_2, LN_2PI, _require_finite, log_gamma, log_sin
 
 #: Denominators below this are treated as exact zeros rather than data; at an
 #: actual zeta zero both ratio terms vanish at the same rate, so the finite-n
@@ -39,16 +37,16 @@ class ResidualReport:
     residual: float
 
 
-def h_factor(z: complex, guard_radius: float = DEFAULT_GUARD_RADIUS) -> complex:
+def h_factor(z: complex) -> complex:
     """H(z) = 2 Gamma(1-z) (2 pi)^(z-1) sin(pi z / 2).
 
-    Raises PoleError within ``guard_radius`` of z = 1, 2, 3, ... where
+    Raises PoleError within ``GUARD_RADIUS`` of z = 1, 2, 3, ... where
     Gamma(1-z) has poles.  H(1/2) = 1 exactly up to rounding, and
     |H(1/2 + i t)| = 1 on the whole critical line.
     """
     z = _require_finite(z)
     nearest = round(z.real)
-    if nearest >= 1 and abs(z - nearest) <= guard_radius:
+    if nearest >= 1 and abs(z - nearest) <= GUARD_RADIUS:
         raise PoleError(f"H has a pole of Gamma(1-z) near z={z!r} (integer {nearest})")
     half_z = 0.5 * math.pi * z
     if abs(half_z.imag) <= 700.0 and cmath.sin(half_z) == 0:
@@ -61,9 +59,7 @@ def h_factor(z: complex, guard_radius: float = DEFAULT_GUARD_RADIUS) -> complex:
     return value
 
 
-def h_ratio_finite(
-    z: complex, n: int, guard_radius: float = DEFAULT_GUARD_RADIUS
-) -> complex:
+def h_ratio_finite(z: complex, n: int) -> complex:
     """Finite-n ratio H_n(z) = zhat_n(z) / zhat_n(1-z) of regularized sums.
 
     Defined away from the regularization singularities at z = 0 and z = 1.
@@ -73,21 +69,19 @@ def h_ratio_finite(
     the denominator underflows.
     """
     z = complex(z)
-    if abs(z - 1.0) <= guard_radius or abs(z) <= guard_radius:
+    if abs(z - 1.0) <= GUARD_RADIUS or abs(z) <= GUARD_RADIUS:
         raise SingularityError(
             f"H_n undefined within guard radius of z = 0 or z = 1, got {z!r}"
         )
-    numerator = zeta_hat_regularized(z, n, guard_radius)
+    numerator = zeta_hat_regularized(z, n)
     denominator = (numerator.conjugate() if mirror_is_conjugate(z)
-                   else zeta_hat_regularized(1.0 - z, n, guard_radius))
+                   else zeta_hat_regularized(1.0 - z, n))
     if abs(denominator) < NEAR_ZERO_DENOMINATOR:
         raise DivisionByNearZero(f"zhat_n(1-z) underflowed at z={z!r}, n={n}")
     return numerator / denominator
 
 
-def functional_equation_residual(
-    z: complex, guard_radius: float = DEFAULT_GUARD_RADIUS
-) -> ResidualReport:
+def functional_equation_residual(z: complex) -> ResidualReport:
     """Evaluate both sides of zhat(z) = H(z) zhat(1-z) and report |lhs - rhs|.
 
     Both sides use the prefactored alternating series (the same
@@ -100,8 +94,7 @@ def functional_equation_residual(
     z = complex(z)
     if not 0.0 < z.real < 1.0:
         raise DomainError(f"residual check needs 0 < Re z < 1, got {z!r}")
-    lhs = zeta_hat_eta(z, guard_radius).value
-    mirror = (lhs.conjugate() if mirror_is_conjugate(z)
-              else zeta_hat_eta(1.0 - z, guard_radius).value)
-    rhs = h_factor(z, guard_radius) * mirror
+    lhs = zeta_hat_eta(z).value
+    mirror = lhs.conjugate() if mirror_is_conjugate(z) else zeta_hat_eta(1.0 - z).value
+    rhs = h_factor(z) * mirror
     return ResidualReport(z, lhs, rhs, abs(lhs - rhs))

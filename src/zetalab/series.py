@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PrefactorSingularityError, SingularityError
-from .special_functions import DEFAULT_GUARD_RADIUS, LN_2, _require_finite, log_gamma
+from .errors import BudgetError, DomainError, PrefactorSingularityError, SingularityError
+from .special_functions import GUARD_RADIUS, LN_2, _require_finite, log_gamma
 
 _LD = np.clongdouble
 _RD = np.longdouble
@@ -53,6 +53,12 @@ _EPS = 2.0 ** -52
 #: share a length, the term matrix (16 bytes an entry) and its
 #: extended-precision sums (32) stay below a megabyte each.
 _BLOCK_ENTRIES = 1 << 14
+
+#: Longest Borwein series accepted.  Its weights are n exact integers of O(n)
+#: bits, so their time and memory grow as n^2; this length covers |Im z| up
+#: to about 1.8e4 in the strip, and one cold build of its weights takes about
+#: 0.6 s and 70 MB of peak memory (Python 3.11 on a Xeon core).
+BORWEIN_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -172,47 +178,39 @@ def _regularization_tail(z: complex, n: int) -> np.clongdouble:
     return np.exp(one_minus_z * np.log(_RD(n))) / one_minus_z
 
 
-def zeta_hat_regularized(
-    z: complex, n: int, guard_radius: float = DEFAULT_GUARD_RADIUS
-) -> complex:
+def zeta_hat_regularized(z: complex, n: int) -> complex:
     """Regularized partial sum zeta_n(z) - n^(1-z)/(1-z).
 
     Subtracting the leading divergent tail makes the sequence converge to
-    zeta(z) for Re z > 0 with error O(n^(-Re z)).  Raises SingularityError
-    within ``guard_radius`` of z = 1.
+    zeta(z) for Re z > 0 with error O(n^(-Re z)).  This is the one-mark case
+    of ``zeta_hat_regularized_schedule``.
     """
-    z = _require_finite(z)
-    n = _require_n(n)
-    if abs(z - 1.0) <= guard_radius:
-        raise SingularityError(f"regularized sum undefined at z={z!r} (division by 1-z)")
-    _check_overflow(z, n)
-    (value,) = _partial_sums(z, n, marks=(n,))
-    return complex(value - _regularization_tail(z, n))
+    (value,) = zeta_hat_regularized_schedule(z, [_require_n(n)])
+    return value
 
 
-def zeta_hat_regularized_schedule(
-    z: complex, marks: list[int], guard_radius: float = DEFAULT_GUARD_RADIUS
-) -> list[complex]:
+def zeta_hat_regularized_schedule(z: complex, marks: list[int]) -> list[complex]:
     """zeta_hat_regularized at several truncation indices from one pass.
 
     ``marks`` must be strictly increasing.  Used by the doubling and scaling
-    experiments, which need aligned schedules n, 2n, 4n, ...
+    experiments, which need aligned schedules n, 2n, 4n, ...  Raises
+    SingularityError within ``GUARD_RADIUS`` of z = 1.
     """
     z = _require_finite(z)
     if not marks:
         return []
     if any(m < 1 for m in marks) or any(b <= a for a, b in zip(marks, marks[1:])):
         raise ValueError(f"marks must be strictly increasing and >= 1, got {marks!r}")
-    if abs(z - 1.0) <= guard_radius:
+    if abs(z - 1.0) <= GUARD_RADIUS:
         raise SingularityError(f"regularized sum undefined at z={z!r} (division by 1-z)")
     _check_overflow(z, marks[-1])
     values = _partial_sums(z, marks[-1], marks=tuple(marks))
     return [complex(s - _regularization_tail(z, m)) for m, s in zip(marks, values)]
 
 
-def _eta_prefactor(z: complex, guard_radius: float) -> complex:
+def _eta_prefactor(z: complex) -> complex:
     prefactor = 1.0 - 2.0 ** (1.0 - z)
-    if abs(prefactor) <= guard_radius:
+    if abs(prefactor) <= GUARD_RADIUS:
         raise PrefactorSingularityError(
             f"1 - 2^(1-z) vanishes near z={z!r}; the prefactored form is undefined "
             "at z = 1 and z = 1 + 2*pi*i*k/ln 2"
@@ -234,22 +232,22 @@ def _borwein_length(z: complex, prefactor: complex) -> tuple[int, float]:
     return n, math.exp(log_scale - n * _LN_BORWEIN_RATE)
 
 
-def zeta_hat_eta(z: complex, guard_radius: float = DEFAULT_GUARD_RADIUS) -> SeriesValue:
+def zeta_hat_eta(z: complex) -> SeriesValue:
     """zeta via the prefactored alternating series, valid for Re z > 0.
 
     P. Borwein, "An efficient algorithm for the Riemann zeta function", 2000,
     algorithm 2: the terms are weighted by e_k, and n is the smallest length
     whose truncation bound is <= 2^-52, about 0.9 |Im z| + 25 terms in the
-    strip; ``guard_radius`` guards the zeros of 1 - 2^(1-z).  See SeriesValue
-    for ``est_error``.  This is the one-point case of ``zeta_hat_eta_batch``.
+    strip.  Raises PrefactorSingularityError within ``GUARD_RADIUS`` of a
+    zero of 1 - 2^(1-z), and BudgetError, before any weight is built, if n
+    exceeds ``BORWEIN_BUDGET``.  See SeriesValue for ``est_error``.  This is
+    the one-point case of ``zeta_hat_eta_batch``.
     """
-    (value,) = zeta_hat_eta_batch([z], guard_radius)
+    (value,) = zeta_hat_eta_batch([z])
     return value
 
 
-def zeta_hat_eta_batch(
-    points: Iterable[complex], guard_radius: float = DEFAULT_GUARD_RADIUS
-) -> list[SeriesValue]:
+def zeta_hat_eta_batch(points: Iterable[complex]) -> list[SeriesValue]:
     """``zeta_hat_eta`` at each of ``points``, bit for bit, in batched passes.
 
     The points are grouped by their series length n, which fixes the Borwein
@@ -264,8 +262,11 @@ def zeta_hat_eta_batch(
     for z in zs:
         if z.real <= 0.0:
             raise DomainError(f"alternating-series evaluation requires Re z > 0, got {z!r}")
-        prefactors.append(_eta_prefactor(z, guard_radius))
+        prefactors.append(_eta_prefactor(z))
         lengths.append(_borwein_length(z, prefactors[-1]))
+        if lengths[-1][0] > BORWEIN_BUDGET:
+            raise BudgetError(f"zeta_hat_eta at z={z!r} needs a Borwein series of "
+                              f"{lengths[-1][0]} terms, above the budget {BORWEIN_BUDGET}")
 
     groups: dict[int, list[int]] = {}
     for i, (n, _) in enumerate(lengths):
@@ -322,9 +323,7 @@ def identity_residual_plain(z: complex, n: int) -> float:
     return abs(xi - rhs)
 
 
-def identity_residual_regularized(
-    z: complex, n: int, guard_radius: float = DEFAULT_GUARD_RADIUS
-) -> float:
+def identity_residual_regularized(z: complex, n: int) -> float:
     """|xi_{2n}(z) - (zhat_{2n}(z) - 2^(1-z) zhat_n(z))|.
 
     Holds exactly because (2n)^(1-z) = 2^(1-z) n^(1-z) makes the subtracted
@@ -333,6 +332,6 @@ def identity_residual_regularized(
     z = _require_finite(z)
     n = _require_n(n)
     xi = eta_partial(z, 2 * n)
-    zhat_n, zhat_2n = zeta_hat_regularized_schedule(z, [n, 2 * n], guard_radius)
+    zhat_n, zhat_2n = zeta_hat_regularized_schedule(z, [n, 2 * n])
     rhs = zhat_2n - 2.0 ** (1.0 - z) * zhat_n
     return abs(xi - rhs)

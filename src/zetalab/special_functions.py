@@ -12,8 +12,9 @@ import math
 
 from .errors import PoleError
 
-#: Default guard radius around poles / singular points.
-DEFAULT_GUARD_RADIUS = 1e-6
+#: Radius of the guard around poles and singular points: an argument this
+#: close to one is refused rather than evaluated.
+GUARD_RADIUS = 1e-6
 
 LN_2 = math.log(2.0)
 LN_PI = math.log(math.pi)
@@ -89,12 +90,12 @@ def log_gamma(z: complex) -> complex:
     reflected half-plane the branch is only fixed up to 2*pi*i, which is
     irrelevant under exp.
 
-    Raises PoleError within ``DEFAULT_GUARD_RADIUS`` of z = 0, -1, -2, ...
+    Raises PoleError within ``GUARD_RADIUS`` of z = 0, -1, -2, ...
     """
     z = _require_finite(z)
     if z.real < 0.5:
         nearest = round(z.real)
-        if nearest <= 0 and abs(z - nearest) <= DEFAULT_GUARD_RADIUS:
+        if nearest <= 0 and abs(z - nearest) <= GUARD_RADIUS:
             raise PoleError(f"log_gamma: {z!r} within guard radius of pole at {nearest}")
         return LN_PI - log_sin(math.pi * z) - _lanczos_log_gamma(1 - z)
     return _lanczos_log_gamma(z)

@@ -29,7 +29,7 @@ from .errors import (
     WindowTooCoarse,
 )
 from .series import zeta_hat_eta_batch
-from .special_functions import DEFAULT_GUARD_RADIUS, LN_PI, _lanczos_log_gamma
+from .special_functions import LN_PI, _lanczos_log_gamma
 
 #: Scan steps above this risk skipping zeros below t = 100: two zeros inside
 #: one step cancel each other's sign change.
@@ -116,7 +116,7 @@ class CrosscheckReport:
     tolerance: float
 
 
-def _evaluate(ts: list[float], guard_radius: float) -> tuple[list[float], list[float]]:
+def _evaluate(ts: list[float]) -> tuple[list[float], list[float]]:
     """(Z(t), |zhat(1/2 + i t)|) at each ordinate, from one batched series pass.
 
     theta(t) = Im log Gamma(w) - (t/2) ln pi with w = 1/4 + i t/2 is taken,
@@ -128,22 +128,22 @@ def _evaluate(ts: list[float], guard_radius: float) -> tuple[list[float], list[f
     so they evaluate the same function.
     """
     values = np.array([v.value for v in
-                       zeta_hat_eta_batch([complex(0.5, t) for t in ts], guard_radius)])
+                       zeta_hat_eta_batch([complex(0.5, t) for t in ts])])
     half_t = 0.5 * np.asarray(ts, dtype=float)
     w = 0.25 + 1j * half_t
     theta = (_lanczos_log_gamma(w + 1.0, np.log) - np.log(w)).imag - half_t * LN_PI
     return (np.exp(1j * theta) * values).real.tolist(), [abs(v) for v in values.tolist()]
 
 
-def hardy_z(t: float, *, guard_radius: float = DEFAULT_GUARD_RADIUS) -> float:
+def hardy_z(t: float) -> float:
     """Hardy's Z(t) = Re(exp(i theta(t)) zhat(1/2 + i t)), real on the line."""
-    return _evaluate([float(t)], guard_radius)[0][0]
+    return _evaluate([float(t)])[0][0]
 
 
 def _require_tolerance(tolerance: float) -> None:
-    # a nan tolerance would accept every zero
-    if not tolerance > 0.0:
-        raise ConfigError(f"tolerance must be > 0, got {tolerance}")
+    # a nan or infinite tolerance would accept every zero
+    if not 0.0 < tolerance < math.inf:
+        raise ConfigError(f"tolerance must be finite and > 0, got {tolerance}")
 
 
 def _checked(t: float, residual: float, tolerance: float, where: str,
@@ -157,7 +157,6 @@ def _checked(t: float, residual: float, tolerance: float, where: str,
 
 
 def refine_zero(t_lo: float, t_hi: float, *, tolerance: float = DEFAULT_TOLERANCE,
-                guard_radius: float = DEFAULT_GUARD_RADIUS,
                 z_lo: float | None = None, z_hi: float | None = None) -> ZeroRecord:
     """Refine the zero inside a sign-change bracket [t_lo, t_hi] of Z.
 
@@ -168,7 +167,7 @@ def refine_zero(t_lo: float, t_hi: float, *, tolerance: float = DEFAULT_TOLERANC
     iterate, so it lies in the bracket, and ``residual_mag`` is |zhat| there.
 
     Raises BracketError unless Z(t_lo) and Z(t_hi) have strictly opposite
-    signs, ConfigError unless ``tolerance`` > 0, and NoConvergence, naming the
+    signs, ConfigError unless ``tolerance`` is finite and > 0, and NoConvergence, naming the
     bracket, if |zhat| at the result is above ``tolerance``: a sign change is
     a zero, so only a tolerance too tight to resolve it can fail here.
     """
@@ -177,9 +176,9 @@ def refine_zero(t_lo: float, t_hi: float, *, tolerance: float = DEFAULT_TOLERANC
     if not t_lo < t_hi:
         raise BracketError(f"bracket [{t_lo}, {t_hi}] is empty")
     if z_lo is None:
-        z_lo = hardy_z(t_lo, guard_radius=guard_radius)
+        z_lo = hardy_z(t_lo)
     if z_hi is None:
-        z_hi = hardy_z(t_hi, guard_radius=guard_radius)
+        z_hi = hardy_z(t_hi)
     if not z_lo * z_hi < 0.0:
         raise BracketError(
             f"Z has no sign change on [{t_lo}, {t_hi}]: Z = {z_lo:.3e}, {z_hi:.3e}"
@@ -189,7 +188,7 @@ def refine_zero(t_lo: float, t_hi: float, *, tolerance: float = DEFAULT_TOLERANC
     a, fa, b, fb = t_lo, z_lo, t_hi, z_hi
     for _ in range(MAX_REFINE_ITERATIONS):
         t = b - fb * (b - a) / (fb - fa)
-        (z,), (residual,) = _evaluate([t], guard_radius)
+        (z,), (residual,) = _evaluate([t])
         if z * fb < 0.0:
             a, fa = b, fb
         else:
@@ -201,8 +200,7 @@ def refine_zero(t_lo: float, t_hi: float, *, tolerance: float = DEFAULT_TOLERANC
     return _checked(b, residual, tolerance, f"bracket [{t_lo}, {t_hi}]", refined=True)
 
 
-def scan_zeros(window: ScanWindow, *, tolerance: float = DEFAULT_TOLERANCE,
-               guard_radius: float = DEFAULT_GUARD_RADIUS) -> list[ZeroRecord]:
+def scan_zeros(window: ScanWindow, *, tolerance: float = DEFAULT_TOLERANCE) -> list[ZeroRecord]:
     """Find all critical-line zeros inside the window.
 
     Evaluates Z on a grid from t_min to exactly t_max with spacing at most
@@ -218,7 +216,7 @@ def scan_zeros(window: ScanWindow, *, tolerance: float = DEFAULT_TOLERANCE,
         )
 
     grid = window.grid()
-    values, residuals = _evaluate(grid, guard_radius)
+    values, residuals = _evaluate(grid)
 
     found: list[ZeroRecord] = []
     for i, (t, z, residual) in enumerate(zip(grid, values, residuals)):
@@ -226,7 +224,7 @@ def scan_zeros(window: ScanWindow, *, tolerance: float = DEFAULT_TOLERANCE,
             found.append(_checked(t, residual, tolerance, "grid point", refined=False))
         elif i + 1 < len(grid) and z * values[i + 1] < 0.0:
             found.append(refine_zero(t, grid[i + 1], tolerance=tolerance,
-                                     guard_radius=guard_radius, z_lo=z, z_hi=values[i + 1]))
+                                     z_lo=z, z_hi=values[i + 1]))
     return [replace(r, index=i) for i, r in enumerate(found, start=1)]
 
 

@@ -106,17 +106,20 @@ class TestResidualCommand:
         assert statuses == ["ok", "skipped"]
 
     def test_all_points_skipped_fails(self, capsys, tmp_path):
-        # a guard radius of 10 covers the pole of Gamma(1-z) at z = 1 for the
-        # whole grid: nothing is checked, so the run must not report PASS
+        # the one grid point lies within the guard of the prefactor
+        # singularity at 1 + 2*pi*i/ln 2: nothing is checked, so the run must
+        # not report PASS
         out_path = tmp_path / "residual.csv"
         code, out, _ = run_cli([
-            "residual", "--rcount", "2", "--icount", "2", "--imax", "5",
-            "--guard-radius", "10", "--out", str(out_path),
+            "residual", "--rmin", "0.9999995", "--rmax", "0.9999999", "--rcount", "1",
+            "--imin", "9.064720284", "--imax", "9.064720284", "--icount", "1",
+            "--out", str(out_path),
         ], capsys)
         assert code == 1
-        assert "no point evaluated" in out and "PASS" not in out
+        assert "no point evaluated -> FAIL" in out and "PASS" not in out
         lines = out_path.read_text().splitlines()
-        assert [line.rsplit(",", 1)[1] for line in lines[2:]] == ["skipped"] * 4
+        assert lines[0] == "# config: {}"
+        assert [line.rsplit(",", 1)[1] for line in lines[2:]] == ["skipped"]
 
     def test_unattainable_tolerance_fails(self, capsys, tmp_path):
         out_path = tmp_path / "residual.csv"
@@ -232,6 +235,18 @@ class TestDoublingCommand:
         code, _, _ = run_cli(["doubling", "--zero-index", "4000"], capsys)
         assert code == 2
 
+    def test_zero_table_without_zero_index_is_usage_error(self, capsys, tmp_path):
+        # with --z the table is never read, so the path would be echoed in the
+        # manifest without taking effect
+        out_path = tmp_path / "doubling.json"
+        code, _, err = run_cli([
+            "doubling", "--z", "0.75+5i", "--zero-table", str(tmp_path / "table.txt"),
+            "--out", str(out_path),
+        ], capsys)
+        assert code == 2
+        assert "--zero-table" in err
+        assert not out_path.exists()
+
     def test_exceeding_budget_is_usage_error(self, capsys):
         code, _, _ = run_cli([
             "doubling", "--z", "0.5+14.1i", "--nbase", str(1 << 22), "--m", "8",
@@ -303,6 +318,11 @@ class TestUnreadConfigFlags:
         (["eval", "--z", "0.5+14i"], ["--no-accelerate"]),
         (["residual"], ["--no-accelerate"]),
         (["residual"], ["--n", "5000"]),
+        # the singularity guard radius is a fixed constant
+        (["eval", "--z", "0.5+14i"], ["--guard-radius", "1e-3"]),
+        (["residual"], ["--guard-radius", "1e-3"]),
+        (["zeros"], ["--guard-radius", "1e-3"]),
+        (["errscan", "--z", "0.5+10i"], ["--guard-radius", "1e-3"]),
     ]
 
     @pytest.mark.parametrize("args,flag", CASES,
@@ -319,10 +339,10 @@ class TestReportConfig:
     # each report's config block holds exactly the config fields the command
     # reads
     CASES = [
-        (["eval", "--z", "0.5+14i"], ["n_terms", "guard_radius"]),
-        (["zeros", "--tmin", "14", "--tmax", "15"], ["guard_radius", "tolerance"]),
+        (["eval", "--z", "0.5+14i"], ["n_terms"]),
+        (["zeros", "--tmin", "14", "--tmax", "15"], ["tolerance"]),
         (["doubling", "--zero-index", "1", "--nbase", "64", "--m", "2"], []),
-        (["errscan", "--z", "0.5+10i", "--nmax", "4096"], ["hl_constant", "guard_radius"]),
+        (["errscan", "--z", "0.5+10i", "--nmax", "4096"], ["hl_constant"]),
     ]
 
     @pytest.mark.parametrize("args,fields", CASES, ids=[args[0] for args, _ in CASES])
@@ -338,8 +358,7 @@ class TestReportConfig:
         assert run_cli(["errscan", "--z", "0.5+10i", "--nmax", "4096",
                         "--csv", str(errscan), "--out", str(tmp_path / "e.json")],
                        capsys)[0] == 0
-        for path, fields in ((residual, ["guard_radius"]),
-                             (errscan, ["hl_constant", "guard_radius"])):
+        for path, fields in ((residual, []), (errscan, ["hl_constant"])):
             comment = path.read_text().splitlines()[0]
             assert list(json.loads(comment.removeprefix("# config: "))) == fields
 
@@ -352,12 +371,9 @@ class TestReportConfig:
 class TestInvalidValues:
     # a value out of range is refused before any series is summed
     CASES = [
-        *[(args, ["--guard-radius", bad])
-          for args in (["eval", "--z", "0.5+14i"], ["residual"], ["zeros"],
-                       ["errscan", "--z", "0.5+10i"])
-          for bad in ("0", "-1", "nan")],
-        *[(["zeros"], ["--tolerance", bad]) for bad in ("0", "-1", "nan")],
-        *[(["errscan", "--z", "0.5+10i"], ["--hl-constant", bad]) for bad in ("1", "0.5", "nan")],
+        *[(["zeros"], ["--tolerance", bad]) for bad in ("0", "-1", "nan", "inf")],
+        *[(["errscan", "--z", "0.5+10i"], ["--hl-constant", bad])
+          for bad in ("1", "0.5", "nan", "inf")],
     ]
 
     @pytest.mark.parametrize("args,flag", CASES,
@@ -389,6 +405,31 @@ class TestTermBudget:
             pytest.fail("a series was summed before the term budget was checked")
         monkeypatch.setattr(series, "_partial_sums", refuse)
         code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert "BudgetError" in err
+
+
+class TestBorweinBudget:
+    # a point whose Borwein series is longer than BORWEIN_BUDGET is refused
+    # before its weights are built; building them here would fail the test
+
+    @pytest.fixture(autouse=True)
+    def no_weights(self, monkeypatch):
+        def refuse(n):
+            pytest.fail(f"Borwein weights of length {n} were built")
+        monkeypatch.setattr(series, "_borwein_weights", refuse)
+
+    def test_eval_reports_it_per_value(self, capsys):
+        code, out, err = run_cli(["eval", "--z", "0.5+1000000i"], capsys)
+        assert code == 1
+        results = json.loads(out)["results"]
+        assert results["zeta_hat_eta"]["error"] == "BudgetError"
+        assert all("re" in results[name]
+                   for name in ("zeta_partial", "eta_partial", "zeta_hat_regularized"))
+        assert "BudgetError" in err
+
+    def test_zeros_is_usage_error(self, capsys):
+        code, _, err = run_cli(["zeros", "--tmin", "1000000", "--tmax", "1000001"], capsys)
         assert code == 2
         assert "BudgetError" in err
 

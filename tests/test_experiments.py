@@ -164,7 +164,7 @@ class TestErrorScalingScan:
             error_scaling_scan(complex(0.5, 1.0), [100, 100])
 
 
-    @pytest.mark.parametrize("hl_constant", [1.0, 0.5, math.nan])
+    @pytest.mark.parametrize("hl_constant", [1.0, 0.5, math.nan, math.inf])
     def test_hl_constant_must_exceed_one(self, hl_constant):
         with pytest.raises(ConfigError):
             error_scaling_scan(complex(0.5, 10.0), self.GRID, hl_constant=hl_constant)

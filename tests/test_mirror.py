@@ -5,7 +5,6 @@ bit (compared by float.hex, so the sign of a zero counts)."""
 import pytest
 
 from zetalab import (
-    DEFAULT_GUARD_RADIUS,
     functional_equation_residual,
     h_doubling,
     h_ratio_finite,
@@ -57,10 +56,9 @@ class TestConjugateExact:
         mirror = zeta_hat_regularized_schedule(1.0 - z, MARKS)
         assert hexes(mirror) == hexes(v.conjugate() for v in direct)
 
-    @pytest.mark.parametrize("guard_radius", [DEFAULT_GUARD_RADIUS], ids=["accel"])
     @pytest.mark.parametrize("z", LINE_POINTS)
-    def test_zeta_hat_eta(self, z, guard_radius):
-        direct, mirror = zeta_hat_eta(z, guard_radius), zeta_hat_eta(1.0 - z, guard_radius)
+    def test_zeta_hat_eta(self, z):
+        direct, mirror = zeta_hat_eta(z), zeta_hat_eta(1.0 - z)
         assert hexes([mirror.value]) == hexes([direct.value.conjugate()])
         assert (mirror.n_used, mirror.est_error) == (direct.n_used, direct.est_error)
 
@@ -80,11 +78,10 @@ class TestShortcutMatchesTwoPass:
         shortcut = h_ratio_finite(z, n)
         assert hexes([shortcut]) == hexes([two_pass(monkeypatch, h_ratio_finite, z, n)])
 
-    @pytest.mark.parametrize("guard_radius", [DEFAULT_GUARD_RADIUS], ids=["accel"])
     @pytest.mark.parametrize("z", LINE_POINTS)
-    def test_functional_equation_residual(self, z, guard_radius, monkeypatch):
-        reports = [functional_equation_residual(z, guard_radius),
-                   two_pass(monkeypatch, functional_equation_residual, z, guard_radius)]
+    def test_functional_equation_residual(self, z, monkeypatch):
+        reports = [functional_equation_residual(z),
+                   two_pass(monkeypatch, functional_equation_residual, z)]
         fields = [[*hexes([r.lhs, r.rhs]), r.residual.hex()] for r in reports]
         assert fields[0] == fields[1]
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zetalab import (
+    BudgetError,
     DomainError,
     PrefactorSingularityError,
     SingularityError,
@@ -18,8 +19,8 @@ from zetalab import (
     zeta_partial,
 )
 
-from zetalab import cli
-from zetalab.series import _partial_sums
+from zetalab import cli, series
+from zetalab.series import BORWEIN_BUDGET, _partial_sums
 
 import oracles
 
@@ -168,6 +169,47 @@ class TestBorweinKernel:
         for t, hardy in oracles.HARDY_Z_SAMPLES:
             sv = zeta_hat_eta(complex(0.5, t))
             assert abs(abs(sv.value) - abs(hardy)) <= sv.est_error, t
+
+
+class TestBorweinBudget:
+    # weights cost n^2 time and memory, so a length past the budget is refused
+    # before any weight is built; here building weights raises Built instead,
+    # so no over-budget series is ever attempted
+
+    class Built(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def no_weights(self, monkeypatch):
+        def refuse(n):
+            raise self.Built(n)
+        monkeypatch.setattr(series, "_borwein_weights", refuse)
+
+    @staticmethod
+    def length(t):
+        z = complex(0.5, t)
+        return series._borwein_length(z, series._eta_prefactor(z))[0]
+
+    def test_boundary(self):
+        t_lo, t_hi = 1e4, 1e5
+        while t_hi - t_lo > 1e-6:
+            mid = 0.5 * (t_lo + t_hi)
+            if self.length(mid) <= BORWEIN_BUDGET:
+                t_lo = mid
+            else:
+                t_hi = mid
+        assert (self.length(t_lo), self.length(t_hi)) == (BORWEIN_BUDGET, BORWEIN_BUDGET + 1)
+        with pytest.raises(self.Built) as built:
+            zeta_hat_eta(complex(0.5, t_lo))
+        assert built.value.args == (BORWEIN_BUDGET,)
+        with pytest.raises(BudgetError, match=str(BORWEIN_BUDGET + 1)):
+            zeta_hat_eta(complex(0.5, t_hi))
+
+    def test_refused_before_any_weight_is_built(self):
+        # the point within budget comes first, and its weights are not built
+        # either
+        with pytest.raises(BudgetError):
+            series.zeta_hat_eta_batch([complex(0.5, 20.0), complex(0.5, 1e6)])
 
 
 class TestIdentities:

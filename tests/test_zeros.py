@@ -3,7 +3,6 @@ import math
 import pytest
 
 from zetalab import (
-    DEFAULT_GUARD_RADIUS,
     BracketError,
     ConfigError,
     NoConvergence,
@@ -128,8 +127,8 @@ class TestScan:
         misses = []
         evaluate = zeros._evaluate
 
-        def counted(ts, guard_radius):
-            result = evaluate(ts, guard_radius)
+        def counted(ts):
+            result = evaluate(ts)
             misses.append(_borwein_weights.cache_info().misses)
             return result
         monkeypatch.setattr(zeros, "_evaluate", counted)
@@ -162,9 +161,10 @@ class TestRefine:
             refine_zero(t_lo, t_hi)
         assert isinstance(info.value, ValueError)
 
-    @pytest.mark.parametrize("tolerance", [0.0, -1e-10, math.nan])
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-10, math.nan, math.inf])
     def test_tolerance_must_be_positive(self, tolerance):
-        # refused before any evaluation: a nan tolerance would accept any zero
+        # refused before any evaluation: a nan or infinite tolerance would
+        # accept any zero
         with pytest.raises(ConfigError):
             refine_zero(14.1, 14.2, tolerance=tolerance)
         with pytest.raises(ConfigError):
@@ -186,9 +186,9 @@ class TestHardyZ:
         # the scan grid is one batched call and refinement calls one ordinate
         # at a time; both must evaluate the same function
         grid = ScanWindow(41.7, 61.7, 0.05).grid()
-        values, residuals = zeros._evaluate(grid, DEFAULT_GUARD_RADIUS)
+        values, residuals = zeros._evaluate(grid)
         for i in range(0, len(grid), 23):
-            (z,), (residual,) = zeros._evaluate([grid[i]], DEFAULT_GUARD_RADIUS)
+            (z,), (residual,) = zeros._evaluate([grid[i]])
             assert (z.hex(), residual.hex()) == (values[i].hex(), residuals[i].hex())
             assert hardy_z(grid[i]).hex() == values[i].hex()
 
@@ -200,7 +200,7 @@ class TestScanLogic:
     @staticmethod
     def synthetic(monkeypatch, f, calls=None):
         # the array form: one call per grid, a one-point list per refinement step
-        def evaluate(ts, guard_radius):
+        def evaluate(ts):
             if calls is not None:
                 calls.append(list(ts))
             values = [f(t) for t in ts]
