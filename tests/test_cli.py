@@ -369,23 +369,30 @@ class TestReportConfig:
 
 
 class TestInvalidValues:
-    # a value out of range is refused before any series is summed
+    # a value out of range is refused before any series is summed; stderr
+    # names the config field, or the flag where the flag no longer exists
     CASES = [
-        *[(["zeros"], ["--tolerance", bad]) for bad in ("0", "-1", "nan", "inf")],
-        *[(["errscan", "--z", "0.5+10i"], ["--hl-constant", bad])
+        # the guard radius is a fixed constant, so any --guard-radius is an
+        # unrecognized argument
+        *[(args, ["--guard-radius", bad], "--guard-radius")
+          for args in (["eval", "--z", "0.5+14i"], ["residual"], ["zeros"],
+                       ["errscan", "--z", "0.5+10i"])
+          for bad in ("0", "-1", "nan")],
+        *[(["zeros"], ["--tolerance", bad], "tolerance") for bad in ("0", "-1", "nan", "inf")],
+        *[(["errscan", "--z", "0.5+10i"], ["--hl-constant", bad], "hl_constant")
           for bad in ("1", "0.5", "nan", "inf")],
     ]
 
-    @pytest.mark.parametrize("args,flag", CASES,
-                             ids=[args[0] + "".join(flag) for args, flag in CASES])
-    def test_usage_error_before_summing(self, capsys, monkeypatch, tmp_path, args, flag):
+    @pytest.mark.parametrize("args,flag,named", CASES,
+                             ids=[args[0] + "".join(flag) for args, flag, _ in CASES])
+    def test_usage_error_before_summing(self, capsys, monkeypatch, tmp_path, args, flag, named):
         def refuse(*args, **kwargs):
             pytest.fail("a series was summed before the value was checked")
         monkeypatch.setattr(series, "_partial_sums", refuse)
         monkeypatch.chdir(tmp_path)  # residual writes to its default output path
         code, _, err = run_cli([*args, *flag], capsys)
         assert code == 2
-        assert flag[0].removeprefix("--").replace("-", "_") in err
+        assert named in err
         assert not list(tmp_path.iterdir())
 
 
