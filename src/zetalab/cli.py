@@ -13,8 +13,11 @@ and its report's config section holds exactly their values: n_terms for
 eval, tolerance for zeros, hl_constant for errscan, and none for residual and
 doubling.  No flag sets the singularity guard; points within
 ``special_functions.GUARD_RADIUS`` of a singularity are always refused.
-Repeated runs with identical flags produce byte-identical config and results
-sections (timestamps are confined to the manifest).
+Results hold library values as they are, complex numbers and records
+(``asdict``) included; ``reporting.json_dumps`` writes complex values as
+{"re", "im"} and every float as its shortest round-trip decimal.  Repeated
+runs with identical flags produce byte-identical config and results sections
+(timestamps are confined to the manifest).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import argparse
 import math
 import re
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 from .errors import BudgetError, ZetaLabError
@@ -35,14 +39,7 @@ from .experiments import (
     tail_count,
 )
 from .functional_equation import functional_equation_residual
-from .reporting import (
-    atomic_write_text,
-    complex_pair,
-    csv_text,
-    format_float,
-    json_compact,
-    json_dumps,
-)
+from .reporting import atomic_write_text, csv_text, format_float, json_dumps
 from .series import zeta_hat_eta, zeta_hat_regularized, zeta_partial, eta_partial
 from .zeros import (
     DEFAULT_TOLERANCE,
@@ -81,6 +78,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    # an infinite threshold passes or matches everything, a nan one nothing
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text}")
+    return value
+
+
 def format_complex_flag(z: complex) -> str:
     """Render a complex value in the CLI literal form 'a+bi'."""
     return f"{format_float(z.real)}{'+' if z.imag >= 0 else '-'}{format_float(abs(z.imag))}i"
@@ -103,14 +108,6 @@ def _manifest(command: str, args, keys: list[str]) -> dict:
 
 def _report(manifest: dict, config: dict, results: dict) -> dict:
     return {"manifest": manifest, "config": config, "results": results}
-
-
-def _series_value_dict(sv) -> dict:
-    return {
-        "value": complex_pair(sv.value),
-        "n_used": sv.n_used,
-        "est_error": sv.est_error,
-    }
 
 
 def _emit(text: str, out_path) -> None:
@@ -142,26 +139,23 @@ def cmd_eval(args) -> int:
             results[name] = {"error": type(exc).__name__, "detail": str(exc)}
             failures.append(type(exc).__name__)
 
-    attempt("zeta_partial", lambda: complex_pair(zeta_partial(z, args.n)))
-    attempt("eta_partial", lambda: complex_pair(eta_partial(z, args.n)))
-    attempt("zeta_hat_regularized",
-            lambda: complex_pair(zeta_hat_regularized(z, args.n)))
-    attempt("zeta_hat_eta", lambda: _series_value_dict(zeta_hat_eta(z)))
+    attempt("zeta_partial", lambda: zeta_partial(z, args.n))
+    attempt("eta_partial", lambda: eta_partial(z, args.n))
+    attempt("zeta_hat_regularized", lambda: zeta_hat_regularized(z, args.n))
+    attempt("zeta_hat_eta", lambda: asdict(zeta_hat_eta(z)))
 
     if args.format == "text":
-        lines = [f"z = {format_float(z.real)}{z.imag:+.17g}i"]
+        lines = [f"z = {format_complex_flag(z)}"]
         for name, payload in results.items():
-            if "error" in payload:
+            if isinstance(payload, complex):
+                lines.append(f"{name:>22}: {format_complex_flag(payload)}  (n = {args.n})")
+            elif "error" in payload:
                 lines.append(f"{name:>22}: error {payload['error']}")
-            elif "value" in payload:
-                v = payload["value"]
+            else:
                 lines.append(
-                    f"{name:>22}: {format_float(v['re'])} {v['im']:+.17g}i"
+                    f"{name:>22}: {format_complex_flag(payload['value'])}"
                     f"  (n = {payload['n_used']}, est_error {format_float(payload['est_error'])})"
                 )
-            else:
-                lines.append(f"{name:>22}: {format_float(payload['re'])} {payload['im']:+.17g}i"
-                             f"  (n = {args.n})")
         text = "\n".join(lines) + "\n"
     else:
         text = json_dumps(_report(manifest, config, results))
@@ -203,7 +197,7 @@ def cmd_residual(args) -> int:
     text = csv_text(
         ["re", "im", "residual", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "status"],
         rows,
-        comments=["config: {}"],  # residual reads no evaluation config
+        {},  # residual reads no evaluation config
     )
     atomic_write_text(args.out, text)
     # a grid whose every point was skipped checked nothing, so it cannot pass
@@ -225,15 +219,7 @@ def cmd_zeros(args) -> int:
     records = scan_zeros(window, tolerance=args.tolerance)
     results: dict = {
         "window": {"t_min": window.t_min, "t_max": window.t_max, "step": window.step},
-        "zeros": [
-            {
-                "index": r.index,
-                "ordinate": r.ordinate,
-                "residual_mag": r.residual_mag,
-                "refined": r.refined,
-            }
-            for r in records
-        ],
+        "zeros": [asdict(r) for r in records],
     }
 
     exit_code = 0
@@ -245,16 +231,7 @@ def cmd_zeros(args) -> int:
         results["crosscheck"] = {
             "reference_path": str(args.reference),
             "tolerance": report.tolerance,
-            "matched": [
-                {
-                    "found_index": m.found_index,
-                    "reference_index": m.reference_index,
-                    "found_ordinate": m.found_ordinate,
-                    "reference_ordinate": m.reference_ordinate,
-                    "delta": m.delta,
-                }
-                for m in report.matched
-            ],
+            "matched": [asdict(m) for m in report.matched],
             "unmatched_found": [r.ordinate for r in report.unmatched_found],
             "unmatched_reference": report.unmatched_reference,
             "max_delta": report.max_delta,
@@ -299,21 +276,21 @@ def cmd_doubling(args) -> int:
     tail = tail_count(args.m)
     zh_tail_ratio = report.zeta_hat_ratios[-1]
     results = {
-        "point": complex_pair(report.point),
+        "point": report.point,
         "point_provenance": provenance,
         "n_base": report.n_base,
         "m_doublings": report.m_doublings,
-        "ratios": [complex_pair(r) for r in report.ratios],
-        "zeta_hat_ratios": [complex_pair(r) for r in report.zeta_hat_ratios],
+        "ratios": report.ratios,
+        "zeta_hat_ratios": report.zeta_hat_ratios,
         "moduli": report.moduli,
-        "fitted_exponent": complex_pair(report.fitted_exponent),
-        "reference_exponent": complex_pair(report.reference_exponent),
-        "exponent_gap_mod_log2_period": complex_pair(gap),
+        "fitted_exponent": report.fitted_exponent,
+        "reference_exponent": report.reference_exponent,
+        "exponent_gap_mod_log2_period": gap,
         "tail_length": tail,
-        "zeta_hat_tail_ratio": complex_pair(zh_tail_ratio),
+        "zeta_hat_tail_ratio": zh_tail_ratio,
         "candidate_halving_constants": {
-            "two_pow_minus_z": complex_pair(2.0 ** (-report.point)),
-            "two_pow_one_minus_z": complex_pair(2.0 ** (1.0 - report.point)),
+            "two_pow_minus_z": 2.0 ** (-report.point),
+            "two_pow_one_minus_z": 2.0 ** (1.0 - report.point),
         },
     }
     _emit(json_dumps(_report(manifest, {}, results)), args.out)
@@ -355,7 +332,7 @@ def cmd_errscan(args) -> int:
 
     report = error_scaling_scan(args.z, n_grid, hl_constant=args.hl_constant)
     results = {
-        "point": complex_pair(report.point),
+        "point": report.point,
         "n_grid": report.n_grid,
         "errors": report.errors,
         "domain_ok": report.domain_ok,
@@ -367,8 +344,7 @@ def cmd_errscan(args) -> int:
 
     if args.csv:
         rows = [[n, e, ok] for n, e, ok in zip(report.n_grid, report.errors, report.domain_ok)]
-        text = csv_text(["n", "error", "domain_ok"], rows,
-                        comments=[f"config: {json_compact(config)}"])
+        text = csv_text(["n", "error", "domain_ok"], rows, config)
         atomic_write_text(args.csv, text)
 
     print(f"errscan at {args.z}: fitted slope {report.fitted_slope:+.4f} "
@@ -403,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--imin", type=float, default=0.0)
     p_res.add_argument("--imax", type=float, default=30.0)
     p_res.add_argument("--icount", type=_positive_int, default=13)
-    p_res.add_argument("--tol", type=float, default=1e-8,
+    p_res.add_argument("--tol", type=_positive_float, default=1e-8,
                        help="max-residual pass threshold (default %(default)s)")
     p_res.add_argument("--out", default="residual_report.csv")
     p_res.set_defaults(handler=cmd_residual)
@@ -414,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_zeros.add_argument("--step", type=float, default=0.05)
     p_zeros.add_argument("--reference", default=None,
                          help="zero table to crosscheck (one ordinate per line)")
-    p_zeros.add_argument("--match-tol", type=float, default=1e-6)
+    p_zeros.add_argument("--match-tol", type=_positive_float, default=1e-6)
     p_zeros.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_zeros.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                          help="bound on |zhat| at each zero (default %(default)s)")

@@ -4,7 +4,18 @@ import sys
 
 import pytest
 
-from zetalab import DOUBLING_BUDGET, series, zeta_hat_eta
+from dataclasses import asdict
+
+from zetalab import (
+    DOUBLING_BUDGET,
+    error_scaling_scan,
+    eta_partial,
+    reference_table_path,
+    series,
+    zeta_hat_eta,
+    zeta_hat_regularized,
+    zeta_partial,
+)
 from zetalab.cli import main, parse_complex, format_complex_flag
 
 import oracles
@@ -61,12 +72,17 @@ class TestEval:
     def test_text_format(self, capsys):
         code, out, _ = run_cli(["eval", "--z", "2+0i", "--format", "text"], capsys)
         assert code == 0
-        lines = {line.split(":")[0].strip(): line for line in out.splitlines()[1:]}
+        z_line, *value_lines = out.splitlines()
+        assert parse_complex(z_line.removeprefix("z = ")) == 2 + 0j
+        lines = {line.split(":")[0].strip(): line for line in value_lines}
         # each value shows its own truncation index
         assert lines["zeta_partial"].endswith("(n = 10000)")
         n_used = zeta_hat_eta(2 + 0j).n_used
         assert n_used < 100
         assert f"(n = {n_used}, est_error " in lines["zeta_hat_eta"]
+        # each value is printed in the --z literal form, exact to the double
+        printed = lines["zeta_hat_eta"].split(": ")[1].split("  (")[0]
+        assert parse_complex(printed) == zeta_hat_eta(2 + 0j).value
 
 
 class TestResidualCommand:
@@ -381,6 +397,11 @@ class TestInvalidValues:
         *[(["zeros"], ["--tolerance", bad], "tolerance") for bad in ("0", "-1", "nan", "inf")],
         *[(["errscan", "--z", "0.5+10i"], ["--hl-constant", bad], "hl_constant")
           for bad in ("1", "0.5", "nan", "inf")],
+        *[(args, [flag, bad], flag)
+          for args, flag in ((["zeros", "--reference", str(reference_table_path())],
+                              "--match-tol"),
+                             (["residual"], "--tol"))
+          for bad in ("inf", "nan", "0", "-1")],
     ]
 
     @pytest.mark.parametrize("args,flag,named", CASES,
@@ -394,6 +415,55 @@ class TestInvalidValues:
         assert code == 2
         assert named in err
         assert not list(tmp_path.iterdir())
+
+
+class TestFloatFormat:
+    # every float of a report reads back as a float equal to the library's
+    # value, whole numbers included (2.0 and 0.0, not 2 and 0)
+
+    @staticmethod
+    def assert_same(got, want):
+        if isinstance(want, complex):
+            want = {"re": want.real, "im": want.imag}
+        if isinstance(want, dict):
+            assert list(got) == list(want)
+            for key in want:
+                TestFloatFormat.assert_same(got[key], want[key])
+        elif isinstance(want, list):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                TestFloatFormat.assert_same(g, w)
+        else:
+            assert type(got) is type(want) and got == want
+
+    def test_eval(self, capsys):
+        code, out, _ = run_cli(["eval", "--z", "2+0i", "--n", "1000"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        z = 2 + 0j
+        self.assert_same(report["config"], {"n_terms": 1000})
+        self.assert_same(report["results"], {
+            "zeta_partial": zeta_partial(z, 1000),
+            "eta_partial": eta_partial(z, 1000),
+            "zeta_hat_regularized": zeta_hat_regularized(z, 1000),
+            "zeta_hat_eta": asdict(zeta_hat_eta(z)),
+        })
+
+    def test_errscan(self, capsys):
+        code, out, _ = run_cli(["errscan", "--z", "0.5+10i", "--nmax", "4096"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        scan = error_scaling_scan(0.5 + 10j, [256, 512, 1024, 2048, 4096], hl_constant=2.0)
+        self.assert_same(report["config"], {"hl_constant": 2.0})
+        self.assert_same(report["results"], {
+            "point": scan.point,
+            "n_grid": scan.n_grid,
+            "errors": scan.errors,
+            "domain_ok": scan.domain_ok,
+            "fitted_slope": scan.fitted_slope,
+            "reference_slope": scan.reference_slope,
+            "slope_deviation": scan.fitted_slope - scan.reference_slope,
+        })
 
 
 class TestTermBudget:
