@@ -1,6 +1,6 @@
 """Partial-sum machinery for the zeta function in the critical strip.
 
-Four objects are computed here, all from ascending partial sums of k^(-z):
+Four objects are computed here, all from partial sums of k^(-z):
 
 * ``zeta_partial``          zeta_n(z)  = sum_{k<=n} k^(-z)
 * ``eta_partial``           xi_n(z)    = sum_{k<=n} (-1)^(k-1) k^(-z)
@@ -16,10 +16,13 @@ plus the two exact algebraic identities tying them together,
 whose residuals are rounding noise only and serve as self-checks.
 
 Numerics: terms are evaluated in double precision as exp(-z ln k) and
-accumulated in 80-bit extended precision (numpy ``clongdouble``) in strictly
-ascending k, so that results are deterministic and accumulation noise stays
-far below the 1e-10 identity budget even for n = 10^4 sums of O(10^4)
-magnitude near the edge of the strip.  Public values are IEEE doubles.
+summed in 80-bit extended precision (numpy ``clongdouble``; the import fails
+where ``longdouble`` is narrower).  The terms come in fixed chunks of
+``_CHUNK`` = 4096; each chunk is summed pairwise, up to a mark or whole, and
+the chunk totals are added in ascending order.  A sum at mark m so depends
+only on the point and on m, results are deterministic, and accumulation
+noise stays far below the 1e-10 identity budget even for n = 10^4 sums of
+O(10^4) magnitude near the edge of the strip.  Public values are IEEE doubles.
 ``zeta_hat_eta_batch`` sums many points in one pass per series length, each
 point in its own row; ``zeta_hat_eta`` is its one-point case.
 """
@@ -39,9 +42,26 @@ from .special_functions import GUARD_RADIUS, LN_2, _require_finite, log_gamma
 _LD = np.clongdouble
 _RD = np.longdouble
 
-# Fixed absolute chunk boundaries keep partial sums deterministic and memory
-# bounded for very large truncation indices.
-_CHUNK = 1 << 19
+
+def _require_extended_precision(finfo: np.finfo) -> None:
+    """Refuse a ``longdouble`` with less than the x87 64-bit significand.
+
+    The accuracy of the sums and ``_rounding_bounds``' claim that their
+    accumulation is negligible hold only with at least that precision; where
+    ``longdouble`` is double (MSVC, macOS on arm64) they would silently not.
+    """
+    if finfo.nmant < 63:
+        raise ImportError(f"zetalab needs numpy's longdouble to have a 64-bit significand or "
+                          f"more; here it is {finfo.dtype} with {finfo.nmant + 1} bits")
+
+
+_require_extended_precision(np.finfo(_RD))
+
+# Terms are made and summed in fixed absolute chunks of this many, so memory
+# stays bounded for any truncation index.  A chunk fits in numpy's default
+# 8192-element reduction buffer, so each row of it is summed by one pairwise
+# inner-loop call, whatever the number of rows.
+_CHUNK = 1 << 12
 
 #: ln(3 + sqrt 8): each Borwein term divides the truncation bound by 3 + sqrt 8.
 _LN_BORWEIN_RATE = math.log(3.0 + math.sqrt(8.0))
@@ -50,8 +70,8 @@ _LN_BORWEIN_RATE = math.log(3.0 + math.sqrt(8.0))
 _EPS = 2.0 ** -52
 
 #: Points x terms per block of a batched series pass: however many points
-#: share a length, the term matrix (16 bytes an entry) and its
-#: extended-precision sums (32) stay below a megabyte each.
+#: share a length, the term matrix of a chunk (16 bytes an entry) stays at
+#: most 256 KB.
 _BLOCK_ENTRIES = 1 << 14
 
 #: Longest Borwein series accepted.  Its weights are n exact integers of O(n)
@@ -91,7 +111,7 @@ def mirror_is_conjugate(z: complex) -> bool:
     """True when every series here returns at 1 - z exactly conj(its value at z).
 
     On Re z = 1/2 the subtraction 1 - z is exactly conj(z), and each step
-    (exp(-z ln k), the ascending sums, n^(1-z)/(1-z), 2^(1-z), the Borwein
+    (exp(-z ln k), the chunked sums, n^(1-z)/(1-z), 2^(1-z), the Borwein
     length) commutes with conjugation.  Im z = 0 is excluded: 1 - (0.5 +- 0i)
     is 0.5+0i either way, and conjugating would flip the sign of a zero.
     """
@@ -105,18 +125,22 @@ def _partial_sums(
     alternating: bool = False,
     weights: np.ndarray | None = None,
 ) -> list:
-    """Stream the ascending partial sums of k^(-z), optionally signed
-    (-1)^(k-1) and optionally weighted by ``weights[k-1]``.
+    """Stream the partial sums of k^(-z), optionally signed (-1)^(k-1) and
+    optionally weighted by ``weights[k-1]``.
 
     ``z`` is one point or an array of points.  Returns the partial sums at
     ``marks`` (sorted, each in [1, n]) in extended precision, each of the
-    shape of ``z``; every point accumulates along its own row, so its sums do
-    not depend on the other points.
+    shape of ``z``.  The sum at mark m is the total of the whole chunks
+    before it, added chunk by chunk, plus one pairwise sum of its own chunk
+    up to m; no prefix sums are formed, and the pass stops at the last mark.
+    Every point is summed along its own row, so its sums depend only on the
+    point and on m, not on the other points or marks.
     """
     zc = np.asarray(z, dtype=complex)[..., np.newaxis]
     values = []
     carry = _LD(0.0)
-    mark_idx = 0
+    pending = iter(marks)
+    mark = next(pending)
     for k0 in range(1, n + 1, _CHUNK):
         k1 = min(k0 + _CHUNK, n + 1)
         k = np.arange(k0, k1, dtype=np.float64)
@@ -126,12 +150,17 @@ def _partial_sums(
         if alternating:
             first_even = 0 if k0 % 2 == 0 else 1
             terms[..., first_even::2] *= -1.0
-        sums = np.cumsum(terms, axis=-1, dtype=_LD)
-        sums += carry
-        while mark_idx < len(marks) and marks[mark_idx] < k1:
-            values.append(sums[..., marks[mark_idx] - k0])
-            mark_idx += 1
-        carry = sums[..., -1:]
+        # a mark inside the chunk sums its own part of it, a mark at the
+        # chunk's end takes the new carry; n + 1 means no mark is left
+        while mark < k1 - 1:
+            values.append(carry + np.add.reduce(terms[..., :mark - k0 + 1], axis=-1, dtype=_LD))
+            mark = next(pending, n + 1)
+        if mark > n:
+            break
+        carry = carry + np.add.reduce(terms, axis=-1, dtype=_LD)
+        if mark == k1 - 1:
+            values.append(carry)
+            mark = next(pending, n + 1)
     return values
 
 
@@ -155,7 +184,7 @@ def _borwein_weights(n: int) -> np.ndarray:
 
 
 def zeta_partial(z: complex, n: int) -> complex:
-    """Plain partial sum sum_{k=1..n} k^(-z), summed in ascending k."""
+    """Plain partial sum sum_{k=1..n} k^(-z)."""
     z = _require_finite(z)
     n = _require_n(n)
     _check_overflow(z, n)
@@ -164,7 +193,7 @@ def zeta_partial(z: complex, n: int) -> complex:
 
 
 def eta_partial(z: complex, n: int) -> complex:
-    """Alternating partial sum sum_{k=1..n} (-1)^(k-1) k^(-z), ascending k."""
+    """Alternating partial sum sum_{k=1..n} (-1)^(k-1) k^(-z)."""
     z = _require_finite(z)
     n = _require_n(n)
     _check_overflow(z, n)
@@ -253,8 +282,8 @@ def zeta_hat_eta_batch(points: Iterable[complex]) -> list[SeriesValue]:
     The points are grouped by their series length n, which fixes the Borwein
     weights, and each group is summed in one pass over a points x n term
     matrix, in blocks of at most ``_BLOCK_ENTRIES`` terms.  Every row is
-    summed on its own (ascending k, extended precision), so a value does not
-    depend on the other points.  The first invalid point raises what
+    summed on its own (chunk by chunk, in extended precision), so a value
+    does not depend on the other points.  The first invalid point raises what
     ``zeta_hat_eta`` raises there.
     """
     zs = [_require_finite(z) for z in points]
@@ -291,7 +320,8 @@ def _rounding_bounds(z: list[complex], prefactor: list[complex], value: list[com
     """First-order rounding bound of each value.
 
     A term exp(-z ln k) is off by (2 + |z| ln k) eps relative, its weighting
-    by eps (the extended-precision sum adds about n 2^-64, less than
+    by eps (the extended-precision sum, pairwise within each 4096-term chunk
+    and then chunk by chunk, adds about (12 + n/4096) 2^-64, less than
     |z| ln k eps), 1 - 2^(1-z) absolutely by
     eps (|2^(1-z)| (2 + |1-z|) + |prefactor|), and the division by eps.
     Each row of the term matrix is reduced by itself, as the one-point case

@@ -140,10 +140,11 @@ def hardy_z(t: float) -> float:
     return _evaluate([float(t)])[0][0]
 
 
-def _require_tolerance(tolerance: float) -> None:
-    # a nan or infinite tolerance would accept every zero
+def _require_tolerance(tolerance: float, name: str = "tolerance") -> None:
+    # a nan or infinite tolerance would accept every zero; as a match
+    # tolerance, nan would pair no zeros and inf any two
     if not 0.0 < tolerance < math.inf:
-        raise ConfigError(f"tolerance must be finite and > 0, got {tolerance}")
+        raise ConfigError(f"{name} must be finite and > 0, got {tolerance}")
 
 
 def _checked(t: float, residual: float, tolerance: float, where: str,
@@ -272,8 +273,10 @@ def crosscheck_zeros(
 
     Candidate pairs within ``tol`` are assigned greedily by increasing
     |delta|.  Unmatched reference ordinates are reported only within
-    ``window`` (defaulting to the span of the found ordinates).
+    ``window`` (defaulting to the span of the found ordinates).  Raises
+    ConfigError unless ``tol`` is finite and > 0.
     """
+    _require_tolerance(tol, "tol")
     candidates = []
     for i, record in enumerate(found):
         for j, ref in enumerate(reference):

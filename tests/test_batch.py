@@ -61,6 +61,11 @@ class TestBatchEqualsScalar:
         batch = assert_matches_scalar(points)
         assert batch[3].n_used == 2695  # 0.5 + 3000i
 
+    def test_series_spans_two_chunks(self):
+        points = [complex(sigma, t) for sigma in (0.1, 0.5, 0.9) for t in (5000.0, -5000.0)]
+        batch = assert_matches_scalar(points)
+        assert all(series._CHUNK < v.n_used <= 2 * series._CHUNK for v in batch)
+
     def test_points_span_several_blocks(self, monkeypatch):
         rows = []
 

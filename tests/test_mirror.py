@@ -18,7 +18,8 @@ import oracles
 RHO1 = complex(0.5, oracles.ZERO_ORDINATES_FIRST10[0])
 # a table zero, its conjugate (negative t), an off-zero control, t = 3000
 LINE_POINTS = [RHO1, RHO1.conjugate(), complex(0.5, 25.0), complex(0.5, 3000.0)]
-# n_base = 3, m = 18: the marks 3, 6, ..., 786432 straddle the 2^19 chunk boundary
+# n_base = 3, m = 18: the marks 3, 6, ..., 786432 fall inside chunks up to 6144
+# and on chunk ends from 12288 on, across 192 chunks
 N_BASE, M = 3, 18
 MARKS = [N_BASE << j for j in range(M + 1)]
 

@@ -116,7 +116,8 @@ class TestZetaHatEta:
 
 class TestZetaHatEtaLongSums:
     # the Borwein series picks its own length, so eval's --n for the plain
-    # sums, even one past the 2^19 chunk size, must leave its value unchanged
+    # sums, even 2^19 + 5, which ends 5 terms into a chunk, must leave its
+    # value unchanged
     @pytest.mark.parametrize("n", [10_000, (1 << 19) + 5])
     def test_against_zeta_oracle(self, n, capsys):
         for z, zeta, _ in oracles.ZETA_DERIV_SAMPLES:
@@ -130,9 +131,10 @@ class TestZetaHatEtaLongSums:
             assert abs(sv.value - zeta) <= 1e-10 * max(1.0, abs(zeta)), (z, n)
 
     def test_weights_aligned_across_chunk_boundary(self):
-        # n = 2^19 + 5 ends in a 5-term chunk, whose weights are sliced at an
-        # offset; a single nonzero weight on either side of the boundary must
-        # pick out its own signed term
+        # 2^19 is a whole number of chunks, so n = 2^19 + 5 ends in a 5-term
+        # chunk, whose weights are sliced at an offset; a single nonzero
+        # weight on either side of the boundary must pick out its own signed
+        # term
         z = complex(0.5, 3.0)
         n = (1 << 19) + 5
         for k in (1 << 19, (1 << 19) + 3):
@@ -141,6 +143,48 @@ class TestZetaHatEtaLongSums:
             (value,) = _partial_sums(z, n, marks=(n,), alternating=True, weights=weights)
             expected = (-1) ** (k - 1) * k ** -z
             assert abs(complex(value) - expected) <= 1e-12 * abs(expected), k
+
+
+class TestAccumulator:
+    @pytest.mark.parametrize("alternating", [False, True])
+    def test_sum_at_a_mark_does_not_depend_on_other_marks(self, alternating):
+        # the first and last term of the second chunk, one past it, and n
+        z = complex(0.3, 20.0)
+        chunk = series._CHUNK
+        marks = (chunk + 1, 2 * chunk, 2 * chunk + 1, 3 * chunk + 5)
+        schedule = _partial_sums(z, marks[-1], marks, alternating=alternating)
+        for m, inside in zip(marks, schedule):
+            (alone,) = _partial_sums(z, m, (m,), alternating=alternating)
+            assert alone == inside, m
+        # and the last term of the first chunk, within a batch
+        (batch,) = _partial_sums(np.array([z, 0.5 + 3.0j]), chunk, (chunk,),
+                                 alternating=alternating)
+        inside = _partial_sums(z, marks[-1], (chunk, marks[-1]), alternating=alternating)[0]
+        assert batch[0] == inside
+
+    @pytest.mark.parametrize("z", [complex(0.05, 3.0), complex(0.5, 14.134725141734693),
+                                   complex(0.9, -1000.0)])
+    def test_sum_of_2_20_terms_is_exact(self, z):
+        # each chunk is summed pairwise and the 256 chunk totals in turn, all
+        # in extended precision, so the error stays far below 2^-60 sum |t_k|;
+        # a running sum of the 2^20 terms was 0.8 * 2^-58 sum |t_k| off at
+        # 0.05+3i, one ulp once rounded to double
+        n = 1 << 20
+        (value,) = _partial_sums(z, n, (n,))
+        terms = np.exp(-z * np.log(np.arange(1.0, n + 1.0)))
+        bound = 2.0 ** -60 * float(np.abs(terms).sum())
+        for got, part in ((value.real, terms.real), (value.imag, terms.imag)):
+            rounded = math.fsum(part)  # the exact sum, correctly rounded
+            exact = np.longdouble(rounded) + np.longdouble(math.fsum(np.append(part, -rounded)))
+            assert abs(float(got - exact)) <= bound
+            # no exact sum here lies that close to a midpoint of doubles
+            assert float(got) == rounded
+
+    def test_narrower_longdouble_is_refused(self):
+        # where longdouble is double, the sums would lose their extended precision
+        with pytest.raises(ImportError, match="float64 with 53 bits"):
+            series._require_extended_precision(np.finfo(np.float64))
+        series._require_extended_precision(np.finfo(np.longdouble))
 
 
 class TestBorweinKernel:

@@ -309,3 +309,10 @@ class TestCrosscheck:
         found = self.records(reference + [40.0])
         report = crosscheck_zeros(found, reference, tol=1e-6, window=(10.0, 45.0))
         assert [r.ordinate for r in report.unmatched_found] == [40.0]
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # a nan tol would match nothing and an infinite one pair any two zeros
+        reference = oracles.ZERO_ORDINATES_FIRST10[:3]
+        with pytest.raises(ConfigError, match="tol must be finite and > 0"):
+            crosscheck_zeros(self.records(reference), reference, tol=tol)
