@@ -44,6 +44,7 @@ from .series import zeta_hat_eta, zeta_hat_regularized, zeta_partial, eta_partia
 from .zeros import (
     DEFAULT_TOLERANCE,
     ScanWindow,
+    _DECIMAL,
     crosscheck_zeros,
     load_zero_table,
     reference_table_path,
@@ -51,9 +52,9 @@ from .zeros import (
 )
 
 _COMPLEX_RE = re.compile(
-    r"""^\s*
-        (?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-        (?:(?P<im>[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i)?
+    rf"""^\s*
+        (?P<re>{_DECIMAL})
+        (?:(?P<im>(?=[+-]){_DECIMAL})i)?
         \s*$""",
     re.VERBOSE,
 )

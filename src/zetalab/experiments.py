@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import statistics
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import BudgetError, ConfigError, DivisionByNearZero, DomainError, InsufficientDomain
 from .functional_equation import NEAR_ZERO_DENOMINATOR
@@ -43,7 +42,7 @@ DOUBLING_BUDGET = 1 << 24
 LOG2_IMAG_PERIOD = 2.0 * math.pi / math.log(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatioReport:
     """Doubling schedule measurement at one point.
 
@@ -64,7 +63,7 @@ class RatioReport:
     moduli: list[float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScalingReport:
     """Log-log decay fit of |zhat_n(point) - reference| over an n grid.
 
@@ -196,9 +195,9 @@ def error_scaling_scan(point: complex, n_grid: list[int], *,
     values = zeta_hat_regularized_schedule(point, n_grid)
     errors = [abs(v - reference) for v in values]
 
-    log_n = np.log([n_grid[i] for i in usable])
-    log_err = np.log([max(errors[i], 1e-300) for i in usable])
-    slope = float(np.polyfit(log_n, log_err, 1)[0])
+    log_n = [math.log(n_grid[i]) for i in usable]
+    log_err = [math.log(max(errors[i], 1e-300)) for i in usable]
+    slope = statistics.linear_regression(log_n, log_err).slope
     return ScalingReport(
         point=point,
         n_grid=n_grid,

@@ -26,7 +26,7 @@ from .special_functions import GUARD_RADIUS, LN_2, LN_2PI, _require_finite, log_
 NEAR_ZERO_DENOMINATOR = 1e-300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResidualReport:
     """One functional-equation check: residual = |lhs - rhs| with
     lhs = zhat(z) and rhs = H(z) * zhat(1-z)."""

@@ -81,7 +81,7 @@ _BLOCK_ENTRIES = 1 << 14
 BORWEIN_BUDGET = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeriesValue:
     """A Borwein series evaluation with its error bound.
 
@@ -303,39 +303,44 @@ def zeta_hat_eta_batch(points: Iterable[complex]) -> list[SeriesValue]:
     out: list[SeriesValue] = [None] * len(zs)  # type: ignore[list-item]
     for n, members in groups.items():
         weights = _borwein_weights(n)
+        z, prefactor = [zs[i] for i in members], [prefactors[i] for i in members]
         rows = max(1, _BLOCK_ENTRIES // min(n, _CHUNK))
+        values = []
         for b in range(0, len(members), rows):
-            block = members[b:b + rows]
-            z, prefactor = [zs[i] for i in block], [prefactors[i] for i in block]
-            (xi,) = _partial_sums(np.array(z), n, marks=(n,), alternating=True, weights=weights)
-            values = (xi / np.array(prefactor)).astype(complex).tolist()
-            rounding = _rounding_bounds(z, prefactor, values, weights)
-            for i, value, r in zip(block, values, rounding):
-                out[i] = SeriesValue(value, n, lengths[i][1] + r)
+            (xi,) = _partial_sums(np.array(z[b:b + rows]), n, marks=(n,), alternating=True,
+                                  weights=weights)
+            values += (xi / np.array(prefactor[b:b + rows])).astype(complex).tolist()
+        for i, value, r in zip(members, values, _rounding_bounds(z, prefactor, values, weights)):
+            out[i] = SeriesValue(value, n, lengths[i][1] + r)
     return out
 
 
 def _rounding_bounds(z: list[complex], prefactor: list[complex], value: list[complex],
                      weights: np.ndarray) -> list[float]:
-    """First-order rounding bound of each value.
+    """First-order rounding bound of each value, all of one series length.
 
     A term exp(-z ln k) is off by (2 + |z| ln k) eps relative, its weighting
     by eps (the extended-precision sum, pairwise within each 4096-term chunk
     and then chunk by chunk, adds about (12 + n/4096) 2^-64, less than
     |z| ln k eps), 1 - 2^(1-z) absolutely by
     eps (|2^(1-z)| (2 + |1-z|) + |prefactor|), and the division by eps.
-    Each row of the term matrix is reduced by itself, as the one-point case
-    reduces its one row, so no choice of summation order inside numpy can
-    set a batch apart from its points.  |z| is Python's abs: numpy's complex
-    abs differs from it in the last bit for about a third of points.
+    The terms' part, eps sum_k e_k k^(-Re z) (3 + |z| ln k), is taken as
+    eps (3 A + |z| B) with A = sum_k e_k k^(-Re z) and B = sum_k e_k k^(-Re z)
+    ln k, each summed once per distinct Re z, so a bound depends only on n and
+    its own point.  |z| is Python's abs: numpy's complex abs differs from it
+    in the last bit for about a third of points.
     """
     k = np.arange(1.0, len(weights) + 1.0)
-    term_bounds = (weights * k ** np.array([[-zi.real] for zi in z])
-                   * (3.0 + np.array([[abs(zi)] for zi in z]) * np.log(k)))
+    log_k = np.log(k)
+    sums = {}
+    for sigma in {zi.real for zi in z}:
+        decay = weights * k ** -sigma
+        sums[sigma] = float(np.add.reduce(decay)), float(np.add.reduce(decay * log_k))
     bounds = []
-    for zi, pi, vi, row in zip(z, prefactor, value, term_bounds):
+    for zi, pi, vi in zip(z, prefactor, value):
+        a, b = sums[zi.real]
         prefactor_bound = 2.0 ** (1.0 - zi.real) * (2.0 + abs(1.0 - zi)) + 2.0 * abs(pi)
-        bounds.append(float(_EPS * (np.add.reduce(row) + abs(vi) * prefactor_bound) / abs(pi)))
+        bounds.append(_EPS * (3.0 * a + abs(zi) * b + abs(vi) * prefactor_bound) / abs(pi))
     return bounds
 
 

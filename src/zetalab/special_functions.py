@@ -44,22 +44,21 @@ _LANCZOS_COEFFS = (
 )
 
 
-def _require_finite(z: complex, name: str = "z") -> complex:
+def _require_finite(z: complex) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"{name} must be finite, got {z!r}")
+        raise ValueError(f"z must be finite, got {z!r}")
     return z
 
 
-def _lanczos_log_gamma(z, log=cmath.log):
-    # valid for Re z >= 0.5; z is one complex, or a numpy array with
-    # log=np.log, which evaluates the same sum over the array in one pass
+def _lanczos_log_gamma(z: complex) -> complex:
+    # valid for Re z >= 0.5
     z_minus_1 = z - 1
     acc = _LANCZOS_COEFFS[0]
     for k in range(1, len(_LANCZOS_COEFFS)):
         acc += _LANCZOS_COEFFS[k] / (z_minus_1 + k)
     t = z + _LANCZOS_G - 0.5
-    return 0.5 * LN_2PI + (z - 0.5) * log(t) - t + log(acc)
+    return 0.5 * LN_2PI + (z - 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
 def log_sin(z: complex) -> complex:

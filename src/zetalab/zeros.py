@@ -13,12 +13,12 @@ zeros, and every verified zero lies there.
 
 from __future__ import annotations
 
+import cmath
 import math
+import re
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from .errors import (
     BracketError,
@@ -46,6 +46,9 @@ GRID_BUDGET = 1 << 16
 
 #: Default bound on |zhat| at a reported zero.
 DEFAULT_TOLERANCE = 1e-10
+
+#: A plain decimal, unlike ``float`` which also takes '1_000', 'nan' and 'inf'.
+_DECIMAL = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,7 @@ class ScanWindow:
         return [self.t_min + i * self.step for i in range(intervals)] + [self.t_max]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZeroRecord:
     """A located zero: rho = 1/2 + i * ordinate.
 
@@ -96,7 +99,7 @@ class ZeroRecord:
     refined: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchedPair:
     found_index: int
     reference_index: int
@@ -105,7 +108,7 @@ class MatchedPair:
     delta: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrosscheckReport:
     """Greedy one-to-one proximity matching of found zeros against a table."""
 
@@ -116,23 +119,28 @@ class CrosscheckReport:
     tolerance: float
 
 
+def _theta(t: float) -> float:
+    """Riemann-Siegel theta(t) up to 2*pi, which leaves exp(i theta) unchanged.
+
+    theta(t) = Im log Gamma(w) - (t/2) ln pi with w = 1/4 + i t/2, taken by
+    Gamma(w+1) = w Gamma(w) as Im(log Gamma(w+1) - log w) - (t/2) ln pi, which
+    keeps the Lanczos sum off the reflection formula.
+    """
+    w = complex(0.25, 0.5 * t)
+    return (_lanczos_log_gamma(w + 1.0) - cmath.log(w)).imag - 0.5 * t * LN_PI
+
+
 def _evaluate(ts: list[float]) -> tuple[list[float], list[float]]:
     """(Z(t), |zhat(1/2 + i t)|) at each ordinate, from one batched series pass.
 
-    theta(t) = Im log Gamma(w) - (t/2) ln pi with w = 1/4 + i t/2 is taken,
-    by Gamma(w+1) = w Gamma(w), as Im(log Gamma(w+1) - log w) - (t/2) ln pi,
-    which keeps the Lanczos sum off the reflection formula and is one array
-    pass.  That fixes theta only up to 2*pi, which leaves exp(i theta)
-    unchanged; any phase error e scales Re(exp(i e) Z) = Z cos e, so it
-    cannot move a root.  The scan grid and each refinement step call this,
-    so they evaluate the same function.
+    Z(t) = Re(exp(i theta(t)) zhat) with ``_theta`` per ordinate; a phase error
+    e scales Re(exp(i e) Z) = Z cos e, so it cannot move a root.  Each value
+    depends on its ordinate only, so the scan grid and each refinement step,
+    which call this, evaluate the same function.
     """
-    values = np.array([v.value for v in
-                       zeta_hat_eta_batch([complex(0.5, t) for t in ts])])
-    half_t = 0.5 * np.asarray(ts, dtype=float)
-    w = 0.25 + 1j * half_t
-    theta = (_lanczos_log_gamma(w + 1.0, np.log) - np.log(w)).imag - half_t * LN_PI
-    return (np.exp(1j * theta) * values).real.tolist(), [abs(v) for v in values.tolist()]
+    values = [v.value for v in zeta_hat_eta_batch([complex(0.5, t) for t in ts])]
+    return ([(cmath.exp(1j * _theta(t)) * v).real for t, v in zip(ts, values)],
+            [abs(v) for v in values])
 
 
 def hardy_z(t: float) -> float:
@@ -230,11 +238,12 @@ def scan_zeros(window: ScanWindow, *, tolerance: float = DEFAULT_TOLERANCE) -> l
 
 
 def load_zero_table(path) -> list[float]:
-    """Read reference ordinates: one decimal per line, strictly increasing.
+    """Read reference ordinates: one plain decimal per line, strictly increasing.
 
     Lines beginning with '#' and blank lines are ignored.  Raises ParseError
-    (with the line number) on malformed values and NonMonotonicError if the
-    ordinates ever fail to increase.
+    (with the line number) on a line such as '14.134_725' or 'nan' that is not
+    a finite plain decimal, and NonMonotonicError if the ordinates ever fail
+    to increase.
     """
     ordinates: list[float] = []
     text = Path(path).read_text(encoding="utf-8")
@@ -242,11 +251,10 @@ def load_zero_table(path) -> list[float]:
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        try:
-            value = float(stripped)
-        except ValueError:
+        if not re.fullmatch(_DECIMAL, stripped):
             raise ParseError(f"{path}:{line_no}: not a decimal ordinate: {stripped!r}",
-                             line=line_no) from None
+                             line=line_no)
+        value = float(stripped)
         if not math.isfinite(value):
             raise ParseError(f"{path}:{line_no}: non-finite ordinate {stripped!r}", line=line_no)
         if ordinates and value <= ordinates[-1]:

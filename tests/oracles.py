@@ -130,12 +130,16 @@ ZERO_ORDINATES_FIRST10 = [
 ZERO1_BISECTION = 14.1347251417346938
 
 # Hardy's Z(t) = exp(i theta(t)) zeta(1/2 + i t) (mpmath.siegelz), real on the
-# critical line, at points between zeros across the packaged table's range
+# critical line, at points between zeros across the packaged table's range,
+# and beyond it, where the Borwein series takes 912 to 8932 terms
 HARDY_Z_SAMPLES = [
     (3.0, -0.53854713854170720),
     (17.5, 2.3018457553350569),
     (50.2, -0.66267143227814240),
     (99.5, 2.0538064677010744),
+    (1000.3, 2.1949783216993582),
+    (3000.7, 2.7492704289038950),
+    (10000.3, 0.53573750872000793),
 ]
 
 # --- doubling constants at the first zero --------------------------------

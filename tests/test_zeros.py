@@ -265,6 +265,16 @@ class TestZeroTable:
             load_zero_table(path)
         assert info.value.line == 2
 
+    @pytest.mark.parametrize("line", ["14.134_725", "14_134725"])
+    def test_underscores_rejected(self, tmp_path, line):
+        # float() accepts underscores between digits; a table line must be a
+        # plain decimal, even where the ordinates still increase
+        path = tmp_path / "table.txt"
+        path.write_text(f"10.0\n{line}\n")
+        with pytest.raises(ParseError) as info:
+            load_zero_table(path)
+        assert info.value.line == 2
+
     def test_packaged_reference_table(self):
         table = load_zero_table(reference_table_path())
         assert len(table) == 29
