@@ -8,21 +8,27 @@ Subcommands
     errscan   error-scaling scan with log-log slope fit
 
 Exit codes: 0 success, 1 tolerance/assertion or computation failure,
-2 usage/parse error.  Each command takes only the evaluation flags it reads,
-and its report's config section holds exactly their values: n_terms for
-eval, tolerance for zeros, hl_constant for errscan, and none for residual and
-doubling.  No flag sets the singularity guard; points within
+2 usage/parse error, including an input file that cannot be read and an
+output path that cannot be written.  Each command takes only the evaluation
+flags it reads, and its report's config section holds exactly their values:
+n_terms for eval, tolerance for zeros, hl_constant for errscan, and none for
+residual and doubling.  No flag sets the singularity guard; points within
 ``special_functions.GUARD_RADIUS`` of a singularity are always refused.
-Results hold library values as they are, complex numbers and records
-(``asdict``) included; ``reporting.json_dumps`` writes complex values as
-{"re", "im"} and every float as its shortest round-trip decimal.  Repeated
-runs with identical flags produce byte-identical config and results sections
-(timestamps are confined to the manifest).
+``doubling`` takes exactly one of --z and --zero-index.
+
+Every JSON report is written by ``_write_report``: its manifest parameters
+are every parsed flag except --out.  Results hold library values as they
+are, complex numbers and records (``asdict``) included;
+``reporting.json_dumps`` writes complex values as {"re", "im"} and every
+float as its shortest round-trip decimal.  Repeated runs with identical flags
+produce byte-identical config and results sections (timestamps are confined
+to the manifest).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -92,30 +98,32 @@ def format_complex_flag(z: complex) -> str:
     return f"{format_float(z.real)}{'+' if z.imag >= 0 else '-'}{format_float(abs(z.imag))}i"
 
 
-def _manifest(command: str, args, keys: list[str]) -> dict:
-    """What was run: command, validated CLI parameters, timestamp."""
-    parameters = {}
-    for key in keys:
-        value = getattr(args, key)
-        if isinstance(value, complex):
-            value = format_complex_flag(value)
-        parameters[key] = "" if value is None else str(value)
-    return {
-        "command": command,
-        "parameters": parameters,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    }
-
-
-def _report(manifest: dict, config: dict, results: dict) -> dict:
-    return {"manifest": manifest, "config": config, "results": results}
-
-
 def _emit(text: str, out_path) -> None:
     if out_path:
         atomic_write_text(out_path, text)
     else:
         sys.stdout.write(text)
+
+
+def _write_report(args, config: dict, results: dict) -> None:
+    """Write the JSON report {manifest, config, results} to --out or stdout.
+
+    The manifest says what was run: the command, every parsed flag except
+    --out (complex values as 'a+bi', an unset flag as ""), and a timestamp.
+    """
+    parameters = {}
+    for key, value in vars(args).items():
+        if key in ("command", "handler", "out"):
+            continue
+        if isinstance(value, complex):
+            value = format_complex_flag(value)
+        parameters[key] = "" if value is None else str(value)
+    manifest = {
+        "command": args.command,
+        "parameters": parameters,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
+    _emit(json_dumps({"manifest": manifest, "config": config, "results": results}), args.out)
 
 
 # ----------------------------------------------------------------- eval ----
@@ -128,7 +136,6 @@ def cmd_eval(args) -> int:
     if args.n > DOUBLING_BUDGET:
         raise BudgetError(f"--n {args.n} exceeds the term budget {DOUBLING_BUDGET}")
     config = {"n_terms": args.n}
-    manifest = _manifest("eval", args, ["z", "n", "format"])
     z = args.z
     results: dict = {}
     failures: list[str] = []
@@ -157,10 +164,9 @@ def cmd_eval(args) -> int:
                     f"{name:>22}: {format_complex_flag(payload['value'])}"
                     f"  (n = {payload['n_used']}, est_error {format_float(payload['est_error'])})"
                 )
-        text = "\n".join(lines) + "\n"
+        _emit("\n".join(lines) + "\n", args.out)
     else:
-        text = json_dumps(_report(manifest, config, results))
-    _emit(text, args.out)
+        _write_report(args, config, results)
     if failures:
         print(f"error: {', '.join(sorted(set(failures)))}", file=sys.stderr)
         return 1
@@ -172,6 +178,9 @@ def cmd_eval(args) -> int:
 def cmd_residual(args) -> int:
     if not (0.0 < args.rmin < args.rmax < 1.0):
         raise argparse.ArgumentTypeError("grid bounds must satisfy 0 < rmin < rmax < 1")
+    for flag, value in (("--imin", args.imin), ("--imax", args.imax)):
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{flag} must be finite, got {value}")
     res = [args.rmin + i * (args.rmax - args.rmin) / (args.rcount - 1)
            for i in range(args.rcount)] if args.rcount > 1 else [args.rmin]
     ims = [args.imin + i * (args.imax - args.imin) / (args.icount - 1)
@@ -215,8 +224,9 @@ def cmd_residual(args) -> int:
 
 def cmd_zeros(args) -> int:
     config = {"tolerance": args.tolerance}
-    manifest = _manifest("zeros", args, ["tmin", "tmax", "step", "reference", "match_tol"])
     window = ScanWindow(args.tmin, args.tmax, args.step)
+    # read before the scan, so that a bad table fails before any work
+    reference = load_zero_table(args.reference) if args.reference else None
     records = scan_zeros(window, tolerance=args.tolerance)
     results: dict = {
         "window": {"t_min": window.t_min, "t_max": window.t_max, "step": window.step},
@@ -225,8 +235,7 @@ def cmd_zeros(args) -> int:
 
     exit_code = 0
     summary = f"{len(records)} zeros in [{args.tmin}, {args.tmax}]"
-    if args.reference:
-        reference = load_zero_table(args.reference)
+    if reference is not None:
         report = crosscheck_zeros(records, reference, args.match_tol,
                                   window=(window.t_min, window.t_max))
         results["crosscheck"] = {
@@ -243,7 +252,7 @@ def cmd_zeros(args) -> int:
         if mismatches:
             exit_code = 1
 
-    _emit(json_dumps(_report(manifest, config, results)), args.out)
+    _write_report(args, config, results)
     print(summary, file=sys.stderr)
     return exit_code
 
@@ -251,14 +260,8 @@ def cmd_zeros(args) -> int:
 # ------------------------------------------------------------- doubling ----
 
 def cmd_doubling(args) -> int:
-    if args.z is None and args.zero_index is None:
-        raise argparse.ArgumentTypeError("provide either --z or --zero-index")
-    if args.z is not None and args.zero_index is not None:
-        raise argparse.ArgumentTypeError("--z and --zero-index are mutually exclusive")
     if args.zero_table is not None and args.zero_index is None:
         raise argparse.ArgumentTypeError("--zero-table is read only with --zero-index")
-
-    manifest = _manifest("doubling", args, ["z", "zero_index", "zero_table", "nbase", "m"])
 
     if args.zero_index is not None:
         table_path = args.zero_table or reference_table_path()
@@ -294,7 +297,7 @@ def cmd_doubling(args) -> int:
             "two_pow_one_minus_z": 2.0 ** (1.0 - report.point),
         },
     }
-    _emit(json_dumps(_report(manifest, {}, results)), args.out)
+    _write_report(args, {}, results)
 
     lines = [
         f"doubling at {point.real:+.6f}{point.imag:+.6f}i  "
@@ -323,7 +326,6 @@ def cmd_errscan(args) -> int:
     if args.nmin >= args.nmax:
         raise argparse.ArgumentTypeError("--nmin must be below --nmax")
     config = {"hl_constant": args.hl_constant}
-    manifest = _manifest("errscan", args, ["z", "nmin", "nmax", "csv"])
 
     j_min = max(0, math.ceil(math.log2(args.nmin)))
     j_max = math.floor(math.log2(args.nmax))
@@ -341,7 +343,7 @@ def cmd_errscan(args) -> int:
         "reference_slope": report.reference_slope,
         "slope_deviation": report.fitted_slope - report.reference_slope,
     }
-    _emit(json_dumps(_report(manifest, config, results)), args.out)
+    _write_report(args, config, results)
 
     if args.csv:
         rows = [[n, e, ok] for n, e, ok in zip(report.n_grid, report.errors, report.domain_ok)]
@@ -355,7 +357,10 @@ def cmd_errscan(args) -> int:
 
 # ----------------------------------------------------------------- main ----
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The zetalab parser, built on the first call and shared by every later
+    ``main`` call in the process; argparse keeps no state between parses."""
     parser = argparse.ArgumentParser(
         prog="zetalab",
         description="Critical-strip zeta laboratory: series evaluation, "
@@ -401,8 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     # rejected rather than read as --nbase
     p_dbl = sub.add_parser("doubling", help="doubling-ratio experiment (plain sums)",
                            allow_abbrev=False)
-    p_dbl.add_argument("--z", type=parse_complex, default=None)
-    p_dbl.add_argument("--zero-index", type=_positive_int, default=None,
+    where = p_dbl.add_mutually_exclusive_group(required=True)
+    where.add_argument("--z", type=parse_complex, default=None)
+    where.add_argument("--zero-index", type=_positive_int, default=None,
                        help="1-based index into the zero table (default: packaged table)")
     p_dbl.add_argument("--zero-table", default=None,
                        help="zero table that --zero-index reads (default: packaged table)")
@@ -439,8 +445,9 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # ConfigError, ParseError, NonMonotonicError, WindowTooCoarse, BudgetError
+    except (ValueError, OSError) as exc:
+        # ConfigError, ParseError, NonMonotonicError, WindowTooCoarse, BudgetError;
+        # an input file that cannot be read or an output path that cannot be written
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (ZetaLabError, OverflowError) as exc:

@@ -120,7 +120,6 @@ def mirror_is_conjugate(z: complex) -> bool:
 
 def _partial_sums(
     z: complex | np.ndarray,
-    n: int,
     marks: tuple[int, ...],
     alternating: bool = False,
     weights: np.ndarray | None = None,
@@ -129,13 +128,14 @@ def _partial_sums(
     optionally weighted by ``weights[k-1]``.
 
     ``z`` is one point or an array of points.  Returns the partial sums at
-    ``marks`` (sorted, each in [1, n]) in extended precision, each of the
-    shape of ``z``.  The sum at mark m is the total of the whole chunks
-    before it, added chunk by chunk, plus one pairwise sum of its own chunk
-    up to m; no prefix sums are formed, and the pass stops at the last mark.
+    ``marks`` (sorted, each >= 1) in extended precision, each of the shape of
+    ``z``; the series runs to the last mark.  The sum at mark m is the total
+    of the whole chunks before it, added chunk by chunk, plus one pairwise
+    sum of its own chunk up to m; no prefix sums are formed.
     Every point is summed along its own row, so its sums depend only on the
     point and on m, not on the other points or marks.
     """
+    n = marks[-1]
     zc = np.asarray(z, dtype=complex)[..., np.newaxis]
     values = []
     carry = _LD(0.0)
@@ -155,8 +155,6 @@ def _partial_sums(
         while mark < k1 - 1:
             values.append(carry + np.add.reduce(terms[..., :mark - k0 + 1], axis=-1, dtype=_LD))
             mark = next(pending, n + 1)
-        if mark > n:
-            break
         carry = carry + np.add.reduce(terms, axis=-1, dtype=_LD)
         if mark == k1 - 1:
             values.append(carry)
@@ -188,7 +186,7 @@ def zeta_partial(z: complex, n: int) -> complex:
     z = _require_finite(z)
     n = _require_n(n)
     _check_overflow(z, n)
-    (value,) = _partial_sums(z, n, marks=(n,))
+    (value,) = _partial_sums(z, (n,))
     return complex(value)
 
 
@@ -197,7 +195,7 @@ def eta_partial(z: complex, n: int) -> complex:
     z = _require_finite(z)
     n = _require_n(n)
     _check_overflow(z, n)
-    (value,) = _partial_sums(z, n, marks=(n,), alternating=True)
+    (value,) = _partial_sums(z, (n,), alternating=True)
     return complex(value)
 
 
@@ -233,7 +231,7 @@ def zeta_hat_regularized_schedule(z: complex, marks: list[int]) -> list[complex]
     if abs(z - 1.0) <= GUARD_RADIUS:
         raise SingularityError(f"regularized sum undefined at z={z!r} (division by 1-z)")
     _check_overflow(z, marks[-1])
-    values = _partial_sums(z, marks[-1], marks=tuple(marks))
+    values = _partial_sums(z, tuple(marks))
     return [complex(s - _regularization_tail(z, m)) for m, s in zip(marks, values)]
 
 
@@ -307,7 +305,7 @@ def zeta_hat_eta_batch(points: Iterable[complex]) -> list[SeriesValue]:
         rows = max(1, _BLOCK_ENTRIES // min(n, _CHUNK))
         values = []
         for b in range(0, len(members), rows):
-            (xi,) = _partial_sums(np.array(z[b:b + rows]), n, marks=(n,), alternating=True,
+            (xi,) = _partial_sums(np.array(z[b:b + rows]), (n,), alternating=True,
                                   weights=weights)
             values += (xi / np.array(prefactor[b:b + rows])).astype(complex).tolist()
         for i, value, r in zip(members, values, _rounding_bounds(z, prefactor, values, weights)):
@@ -353,7 +351,7 @@ def identity_residual_plain(z: complex, n: int) -> float:
     z = _require_finite(z)
     n = _require_n(n)
     xi = eta_partial(z, 2 * n)
-    zeta_n, zeta_2n = _partial_sums(z, 2 * n, marks=(n, 2 * n))
+    zeta_n, zeta_2n = _partial_sums(z, (n, 2 * n))
     rhs = complex(zeta_2n) - 2.0 ** (1.0 - z) * complex(zeta_n)
     return abs(xi - rhs)
 

@@ -69,9 +69,9 @@ class TestBatchEqualsScalar:
     def test_points_span_several_blocks(self, monkeypatch):
         rows = []
 
-        def spy(z, n, *args, **kwargs):
-            rows.append((n, len(z)))
-            return partial_sums(z, n, *args, **kwargs)
+        def spy(z, marks, *args, **kwargs):
+            rows.append((marks[-1], len(z)))
+            return partial_sums(z, marks, *args, **kwargs)
 
         partial_sums = series._partial_sums
         monkeypatch.setattr(series, "_partial_sums", spy)

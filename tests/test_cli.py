@@ -263,6 +263,17 @@ class TestDoublingCommand:
         assert "--zero-table" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("where", [["--z", "0.5+14i", "--zero-index", "1"], []],
+                             ids=["both", "neither"])
+    def test_exactly_one_point_flag(self, capsys, monkeypatch, where):
+        def refuse(*args, **kwargs):
+            pytest.fail("a series was summed before the flags were checked")
+        monkeypatch.setattr(series, "_partial_sums", refuse)
+        code, out, err = run_cli(["doubling", *where, "--nbase", "64", "--m", "2"], capsys)
+        assert code == 2
+        assert "--z" in err and "--zero-index" in err
+        assert out == ""
+
     def test_exceeding_budget_is_usage_error(self, capsys):
         code, _, _ = run_cli([
             "doubling", "--z", "0.5+14.1i", "--nbase", str(1 << 22), "--m", "8",
@@ -384,6 +395,100 @@ class TestReportConfig:
         assert list(json.loads(out)["results"]["zeta_hat_eta"]) == ["value", "n_used", "est_error"]
 
 
+class TestManifest:
+    # manifest.parameters holds every flag of the command except --out, a
+    # complex value in the --z literal form and an unset flag as ""
+    CASES = [
+        (["eval", "--z", "0.5+14i"], {"z": "0.5+14.0i", "format": "json", "n": "10000"}),
+        (["zeros", "--tmin", "14", "--tmax", "15"],
+         {"tmin": "14.0", "tmax": "15.0", "step": "0.05", "reference": "",
+          "match_tol": "1e-06", "tolerance": "1e-10"}),
+        (["doubling", "--zero-index", "1", "--nbase", "64", "--m", "2"],
+         {"z": "", "zero_index": "1", "zero_table": "", "nbase": "64", "m": "2"}),
+        (["errscan", "--z", "0.5+10i", "--nmax", "4096"],
+         {"z": "0.5+10.0i", "nmin": "256", "nmax": "4096", "csv": "", "hl_constant": "2.0"}),
+    ]
+
+    @pytest.mark.parametrize("args,parameters", CASES, ids=[args[0] for args, _ in CASES])
+    def test_parameters_are_the_flags(self, capsys, tmp_path, args, parameters):
+        out_path = tmp_path / "report.json"
+        assert run_cli([*args, "--out", str(out_path)], capsys)[0] == 0
+        manifest = json.loads(out_path.read_text())["manifest"]
+        assert manifest["command"] == args[0]
+        assert manifest["parameters"] == parameters
+
+
+class TestSharedParser:
+    # one parser serves every main() call in a process, and no parsed value
+    # carries over from one call to the next
+
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        import argparse
+
+        assert run_cli(["eval", "--z", "2+0i", "--n", "10"], capsys)[0] == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run_cli(["eval", "--z", "2+0i", "--n", "10"], capsys)[0] == 0
+        assert built == []
+
+    def test_config_flag_does_not_carry_over(self, capsys):
+        args = ["errscan", "--z", "0.5+10i", "--nmax", "4096"]
+        code, out, _ = run_cli([*args, "--hl-constant", "3"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"] == {"hl_constant": 3.0}
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert json.loads(out)["config"] == {"hl_constant": 2.0}
+
+    def test_format_does_not_carry_over(self, capsys):
+        code, out, _ = run_cli(["eval", "--z", "2+0i", "--n", "10", "--format", "text"], capsys)
+        assert code == 0 and out.startswith("z = ")
+        code, out, _ = run_cli(["eval", "--z", "2+0i", "--n", "10"], capsys)
+        assert code == 0
+        assert json.loads(out)["manifest"]["parameters"]["format"] == "json"
+
+
+class TestUnusableFiles:
+    # a file that cannot be read or written is a usage error named on stderr,
+    # not a traceback; an input table is read before any series is summed
+    INPUTS = [
+        (["zeros", "--tmin", "14", "--tmax", "15", "--reference", "missing.txt"],
+         "FileNotFoundError"),
+        (["zeros", "--tmin", "14", "--tmax", "15", "--reference", "."], "IsADirectoryError"),
+        (["doubling", "--zero-index", "1", "--zero-table", "missing.txt"], "FileNotFoundError"),
+    ]
+
+    @pytest.mark.parametrize("args,named", INPUTS,
+                             ids=["zeros-missing", "zeros-directory", "doubling-missing"])
+    def test_unreadable_input(self, capsys, monkeypatch, tmp_path, args, named):
+        def refuse(*args, **kwargs):
+            pytest.fail("a series was summed before the table was read")
+        monkeypatch.setattr(series, "_partial_sums", refuse)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert f"error: {named}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("args,flag", [
+        (["eval", "--z", "2+0i", "--n", "10"], "--out"),
+        (["errscan", "--z", "0.5+10i", "--nmax", "4096"], "--csv"),
+    ], ids=["eval-out", "errscan-csv"])
+    def test_unwritable_output(self, capsys, tmp_path, args, flag):
+        # a regular file where the report's directory should be
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run_cli([*args, flag, str(blocker / "r.json")], capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert blocker.read_text() == ""
+
+
 class TestInvalidValues:
     # a value out of range is refused before any series is summed; stderr
     # names the config field, or the flag where the flag no longer exists
@@ -402,6 +507,8 @@ class TestInvalidValues:
                               "--match-tol"),
                              (["residual"], "--tol"))
           for bad in ("inf", "nan", "0", "-1")],
+        *[(["residual"], [flag, bad], flag)
+          for flag, bad in (("--imax", "inf"), ("--imin", "nan"), ("--imax", "1e400"))],
     ]
 
     @pytest.mark.parametrize("args,flag,named", CASES,

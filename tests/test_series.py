@@ -140,7 +140,7 @@ class TestZetaHatEtaLongSums:
         for k in (1 << 19, (1 << 19) + 3):
             weights = np.zeros(n)
             weights[k - 1] = 1.0
-            (value,) = _partial_sums(z, n, marks=(n,), alternating=True, weights=weights)
+            (value,) = _partial_sums(z, (n,), alternating=True, weights=weights)
             expected = (-1) ** (k - 1) * k ** -z
             assert abs(complex(value) - expected) <= 1e-12 * abs(expected), k
 
@@ -152,14 +152,13 @@ class TestAccumulator:
         z = complex(0.3, 20.0)
         chunk = series._CHUNK
         marks = (chunk + 1, 2 * chunk, 2 * chunk + 1, 3 * chunk + 5)
-        schedule = _partial_sums(z, marks[-1], marks, alternating=alternating)
+        schedule = _partial_sums(z, marks, alternating=alternating)
         for m, inside in zip(marks, schedule):
-            (alone,) = _partial_sums(z, m, (m,), alternating=alternating)
+            (alone,) = _partial_sums(z, (m,), alternating=alternating)
             assert alone == inside, m
         # and the last term of the first chunk, within a batch
-        (batch,) = _partial_sums(np.array([z, 0.5 + 3.0j]), chunk, (chunk,),
-                                 alternating=alternating)
-        inside = _partial_sums(z, marks[-1], (chunk, marks[-1]), alternating=alternating)[0]
+        (batch,) = _partial_sums(np.array([z, 0.5 + 3.0j]), (chunk,), alternating=alternating)
+        inside = _partial_sums(z, (chunk, marks[-1]), alternating=alternating)[0]
         assert batch[0] == inside
 
     @pytest.mark.parametrize("z", [complex(0.05, 3.0), complex(0.5, 14.134725141734693),
@@ -170,7 +169,7 @@ class TestAccumulator:
         # a running sum of the 2^20 terms was 0.8 * 2^-58 sum |t_k| off at
         # 0.05+3i, one ulp once rounded to double
         n = 1 << 20
-        (value,) = _partial_sums(z, n, (n,))
+        (value,) = _partial_sums(z, (n,))
         terms = np.exp(-z * np.log(np.arange(1.0, n + 1.0)))
         bound = 2.0 ** -60 * float(np.abs(terms).sum())
         for got, part in ((value.real, terms.real), (value.imag, terms.imag)):

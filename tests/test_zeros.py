@@ -86,8 +86,7 @@ class TestScan:
         for record in five_records:
             rho = complex(0.5, record.ordinate)
             n = 2 * zeta_hat_eta(rho).n_used
-            (xi,) = _partial_sums(rho, n, marks=(n,), alternating=True,
-                                  weights=_borwein_weights(n))
+            (xi,) = _partial_sums(rho, (n,), alternating=True, weights=_borwein_weights(n))
             assert abs(complex(xi) / (1.0 - 2.0 ** (1.0 - rho))) <= 1e-8
 
     def test_reflected_point_also_vanishes(self, five_records):
