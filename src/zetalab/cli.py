@@ -9,10 +9,11 @@ Subcommands
 
 Exit codes: 0 success, 1 tolerance/assertion or computation failure,
 2 usage/parse error, including an input file that cannot be read and an
-output path that cannot be written.  Each command takes only the evaluation
-flags it reads, and its report's config section holds exactly their values:
-n_terms for eval, tolerance for zeros, hl_constant for errscan, and none for
-residual and doubling.  No flag sets the singularity guard; points within
+output path that cannot be written; both are found before any series is
+summed.  Each command takes only the evaluation flags it reads, and its
+report's config section holds exactly their values: n_terms for eval,
+tolerance for zeros, hl_constant for errscan, and none for residual and
+doubling.  No flag sets the singularity guard; points within
 ``special_functions.GUARD_RADIUS`` of a singularity are always refused.
 ``doubling`` takes exactly one of --z and --zero-index.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -46,7 +48,7 @@ from .experiments import (
 )
 from .functional_equation import functional_equation_residual
 from .reporting import atomic_write_text, csv_text, format_float, json_dumps
-from .series import zeta_hat_eta, zeta_hat_regularized, zeta_partial, eta_partial
+from .series import eta_partial, partial_sums, zeta_hat_eta, zeta_hat_regularized, zeta_partial
 from .zeros import (
     DEFAULT_TOLERANCE,
     ScanWindow,
@@ -147,9 +149,18 @@ def cmd_eval(args) -> int:
             results[name] = {"error": type(exc).__name__, "detail": str(exc)}
             failures.append(type(exc).__name__)
 
-    attempt("zeta_partial", lambda: zeta_partial(z, args.n))
-    attempt("eta_partial", lambda: eta_partial(z, args.n))
-    attempt("zeta_hat_regularized", lambda: zeta_hat_regularized(z, args.n))
+    # the three plain sums come from one term pass; where it, or the
+    # regularization, cannot be taken, each function is called for its error
+    try:
+        sums = partial_sums(z, args.n)
+    except OverflowError:
+        sums = (None, None, None)
+    for name, fn, value in zip(("zeta_partial", "eta_partial", "zeta_hat_regularized"),
+                               (zeta_partial, eta_partial, zeta_hat_regularized), sums):
+        if value is None:
+            attempt(name, functools.partial(fn, z, args.n))
+        else:
+            results[name] = value
     attempt("zeta_hat_eta", lambda: asdict(zeta_hat_eta(z)))
 
     if args.format == "text":
@@ -343,12 +354,12 @@ def cmd_errscan(args) -> int:
         "reference_slope": report.reference_slope,
         "slope_deviation": report.fitted_slope - report.reference_slope,
     }
-    _write_report(args, config, results)
-
+    # the CSV first, so that a report is never left behind a failed CSV
     if args.csv:
         rows = [[n, e, ok] for n, e, ok in zip(report.n_grid, report.errors, report.domain_ok)]
         text = csv_text(["n", "error", "domain_ok"], rows, config)
         atomic_write_text(args.csv, text)
+    _write_report(args, config, results)
 
     print(f"errscan at {args.z}: fitted slope {report.fitted_slope:+.4f} "
           f"(reference {report.reference_slope:+.4f})", file=sys.stderr)
@@ -433,6 +444,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_writable(path) -> None:
+    """Refuse an output path that cannot be written, before any work.
+
+    ``atomic_write_text`` makes the missing directories, so the nearest
+    existing ancestor of the path must be a writable directory, and the path
+    itself must not be a directory.  As there, the path is taken apart with
+    ``os.path``, not ``pathlib``.
+    """
+    target = os.path.abspath(path)
+    if os.path.isdir(target):
+        raise IsADirectoryError(f"output path {path} is a directory")
+    ancestor = os.path.dirname(target)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise NotADirectoryError(f"cannot write {path}: {ancestor} is not a directory")
+    if not os.access(ancestor, os.W_OK | os.X_OK):
+        raise PermissionError(f"cannot write {path}: {ancestor} is not writable")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -441,6 +472,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return int(exc.code) if exc.code else 0
     try:
+        for target in (args.out, getattr(args, "csv", None)):
+            if target:
+                _require_writable(target)
         return args.handler(args)
     except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -22,9 +22,10 @@ where ``longdouble`` is narrower).  The terms come in fixed chunks of
 the chunk totals are added in ascending order.  A sum at mark m so depends
 only on the point and on m, results are deterministic, and accumulation
 noise stays far below the 1e-10 identity budget even for n = 10^4 sums of
-O(10^4) magnitude near the edge of the strip.  Public values are IEEE doubles.
-``zeta_hat_eta_batch`` sums many points in one pass per series length, each
-point in its own row; ``zeta_hat_eta`` is its one-point case.
+O(10^4) magnitude near the edge of the strip.  The plain and the alternating
+stream of a point come from one term array.  Public values are IEEE doubles.
+``zeta_hat_eta_batch`` sums many points in array passes, each point in its
+own row of one term matrix per block; ``zeta_hat_eta`` is its one-point case.
 """
 
 from __future__ import annotations
@@ -33,14 +34,23 @@ import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
 from .errors import BudgetError, DomainError, PrefactorSingularityError, SingularityError
-from .special_functions import GUARD_RADIUS, LN_2, _require_finite, log_gamma
+from .special_functions import (
+    GUARD_RADIUS,
+    LN_2,
+    LN_2PI,
+    _LANCZOS_COEFFS,
+    _LANCZOS_G,
+    _require_finite,
+)
 
 _LD = np.clongdouble
 _RD = np.longdouble
+_ZERO = _LD(0.0)
 
 
 def _require_extended_precision(finfo: np.finfo) -> None:
@@ -68,17 +78,36 @@ _LN_BORWEIN_RATE = math.log(3.0 + math.sqrt(8.0))
 
 #: Target of the Borwein truncation bound, and the unit of the rounding bound.
 _EPS = 2.0 ** -52
+_LN_EPS = math.log(_EPS)
 
-#: Points x terms per block of a batched series pass: however many points
-#: share a length, the term matrix of a chunk (16 bytes an entry) stays at
-#: most 256 KB.
-_BLOCK_ENTRIES = 1 << 14
+# ln 2 - ln(2 pi)/2 - ln 2^-52, the constant part of ``_borwein_lengths``'
+# log scale
+_LN_SCALE_CONSTANT = LN_2 - 0.5 * LN_2PI - _LN_EPS
+
+#: Points x terms per block of a batched Borwein pass: the rows of a block
+#: share one term matrix of at most 64 KB (16 bytes an entry), as wide as its
+#: longest row.  The 401-point scan grid of [41.7, 61.7] takes 7 blocks of
+#: 40 to 66 rows; a series of 4096 terms or more fills a block alone.
+_BLOCK_ENTRIES = 1 << 12
 
 #: Longest Borwein series accepted.  Its weights are n exact integers of O(n)
 #: bits, so their time and memory grow as n^2; this length covers |Im z| up
 #: to about 1.8e4 in the strip, and one cold build of its weights takes about
 #: 0.6 s and 70 MB of peak memory (Python 3.11 on a Xeon core).
 BORWEIN_BUDGET = 1 << 14
+
+# The Lanczos sum of ``special_functions`` at z + 1, c_0 + sum_k c_k / (z + k)
+# for k = 1..14, and the shifts of log Gamma(z+1), as complex arrays: numpy
+# combines them with a complex array faster than it does a Python float.
+_LANCZOS_K = np.arange(1.0, len(_LANCZOS_COEFFS), dtype=complex)
+_LANCZOS_C = np.array(_LANCZOS_COEFFS[1:], dtype=complex)
+_LANCZOS_C0 = complex(_LANCZOS_COEFFS[0])
+_LANCZOS_SHIFT = np.array([_LANCZOS_G + 0.5], dtype=complex)
+_HALF = np.array([0.5], dtype=complex)
+
+#: Points per block of the Lanczos sum, whose 14 terms per point then take
+#: at most 224 KB at once.
+_LANCZOS_ROWS = 1 << 10
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,58 +147,93 @@ def mirror_is_conjugate(z: complex) -> bool:
     return z.real == 0.5 and z.imag != 0.0
 
 
-def _partial_sums(
-    z: complex | np.ndarray,
-    marks: tuple[int, ...],
-    alternating: bool = False,
-    weights: np.ndarray | None = None,
-) -> list:
-    """Stream the partial sums of k^(-z), optionally signed (-1)^(k-1) and
-    optionally weighted by ``weights[k-1]``.
+def _partial_sums(z, marks=(), alternating=(), weights=None) -> tuple[list, list]:
+    """Stream the partial sums of k^(-z) from one term pass.
 
-    ``z`` is one point or an array of points.  Returns the partial sums at
-    ``marks`` (sorted, each >= 1) in extended precision, each of the shape of
-    ``z``; the series runs to the last mark.  The sum at mark m is the total
-    of the whole chunks before it, added chunk by chunk, plus one pairwise
-    sum of its own chunk up to m; no prefix sums are formed.
-    Every point is summed along its own row, so its sums depend only on the
-    point and on m, not on the other points or marks.
+    ``z`` is one point or a 1-D array of points, one row each.  Every row is
+    summed at the sorted ``marks`` (the plain stream, sum k^(-z)) and at the
+    sorted ``alternating`` marks (sum (-1)^(k-1) k^(-z)); the alternating
+    stream negates the even terms of a chunk once its plain sums are taken.
+    Returns (plain, alternating): the extended-precision sums at each mark,
+    each of the shape of ``z``.
+
+    With ``weights``, one read-only array per row of ``z``, row r is instead
+    summed to len(weights[r]) terms, the k-th multiplied by weights[r][k-1],
+    and plain is the one array of row sums.  The terms of all rows come from
+    one matrix per chunk, as wide as the longest row; neighbouring rows that
+    share their weights array are reduced together.
+
+    The sum at mark m is the total of the whole chunks before it, added
+    chunk by chunk, plus one pairwise sum of its own chunk up to m; no
+    prefix sums are formed.  Every row is summed on its own, so its sums
+    depend only on the point, its weights and m, not on the other rows,
+    their lengths or the other marks.
     """
-    n = marks[-1]
-    zc = np.asarray(z, dtype=complex)[..., np.newaxis]
-    values = []
-    carry = _LD(0.0)
-    pending = iter(marks)
-    mark = next(pending)
+    rows = np.asarray(z, dtype=complex)[..., np.newaxis]
+    # runs of neighbouring rows that share their weights and marks: (rows,
+    # weights, last mark, streams), and per stream [marks, sums, carry,
+    # whether alternating]
+    if weights is None:
+        n = max(marks[-1:] + alternating[-1:])
+        runs = [(Ellipsis, None, n,
+                 [[m, [], _ZERO, alt] for m, alt in ((marks, False), (alternating, True)) if m])]
+    else:
+        runs, start, n = [], 0, 0
+        for r in range(1, len(weights) + 1):
+            if r == len(weights) or weights[r] is not weights[start]:
+                end = len(weights[start])
+                runs.append((slice(start, r), weights[start], end, [[(end,), [], _ZERO, False]]))
+                start, n = r, max(n, end)
     for k0 in range(1, n + 1, _CHUNK):
         k1 = min(k0 + _CHUNK, n + 1)
-        k = np.arange(k0, k1, dtype=np.float64)
-        terms = np.exp(-zc * np.log(k))
-        if weights is not None:
-            terms *= weights[k0 - 1:k1 - 1]
-        if alternating:
-            first_even = 0 if k0 % 2 == 0 else 1
-            terms[..., first_even::2] *= -1.0
-        # a mark inside the chunk sums its own part of it, a mark at the
-        # chunk's end takes the new carry; n + 1 means no mark is left
-        while mark < k1 - 1:
-            values.append(carry + np.add.reduce(terms[..., :mark - k0 + 1], axis=-1, dtype=_LD))
-            mark = next(pending, n + 1)
-        carry = carry + np.add.reduce(terms, axis=-1, dtype=_LD)
-        if mark == k1 - 1:
-            values.append(carry)
-            mark = next(pending, n + 1)
-    return values
+        log_k = _first_logs()[:k1 - 1] if k0 == 1 else np.log(np.arange(k0, k1, dtype=float))
+        terms = np.exp(-rows * log_k)
+        for run_rows, w, end, streams in runs:
+            if end < k0:
+                continue
+            block = terms[run_rows, :min(end, k1 - 1) - k0 + 1]
+            if w is not None:
+                block *= w[k0 - 1:k0 - 1 + block.shape[-1]]
+            for stream in streams:
+                stream_marks, values, carry, alt = stream
+                taken = len(values)
+                if taken == len(stream_marks):
+                    continue
+                if alt:
+                    block[..., k0 % 2::2] *= -1.0  # the even k
+                # a mark inside the chunk or at its end sums its own part of it
+                while taken < len(stream_marks) and stream_marks[taken] < k1:
+                    values.append(carry + np.add.reduce(
+                        block[..., :stream_marks[taken] - k0 + 1], axis=-1, dtype=_LD))
+                    taken += 1
+                if taken < len(stream_marks):
+                    # the stream goes on: a mark at the chunk's end is the new carry
+                    stream[2] = (values[-1] if taken and stream_marks[taken - 1] == k1 - 1
+                                 else carry + np.add.reduce(block, axis=-1, dtype=_LD))
+    if weights is not None:
+        sums = [streams[0][1][0] for *_, streams in runs]
+        return [sums[0] if len(sums) == 1 else np.concatenate(sums)], []
+    sums = {alt: values for _, values, _, alt in runs[0][3]}
+    return sums.get(False, []), sums.get(True, [])
+
+
+@functools.cache
+def _first_logs() -> np.ndarray:
+    """ln k for k = 1.._CHUNK, the first chunk of every series."""
+    logs = np.log(np.arange(1.0, _CHUNK + 1.0))
+    logs.flags.writeable = False
+    return logs
 
 
 @functools.lru_cache(maxsize=128)
 def _borwein_weights(n: int) -> np.ndarray:
-    """e_k = (d_n - d_{k-1}) / d_n for k = 1..n (P. Borwein's algorithm 2).
+    """(-1)^(k-1) e_k, e_k = (d_n - d_{k-1}) / d_n for k = 1..n (P. Borwein's algorithm 2).
 
     d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!) are exact integers, so
-    each e_k is one correctly rounded division.  The array is cached, so it
-    is read-only; the cache holds the ~20 lengths of a 20-wide zero-scan
-    window several times over, so refinement reuses the grid's weights.
+    each e_k is one correctly rounded division; the alternating sign is
+    folded in, and the array is complex.  It is cached, so it is read-only;
+    the cache holds the ~20 lengths of a 20-wide zero-scan window several
+    times over, so refinement reuses the grid's weights.
     """
     summand, d = 1, [1]  # the i = 0 summand is d_0 = 1
     for i in range(1, n + 1):
@@ -177,8 +241,20 @@ def _borwein_weights(n: int) -> np.ndarray:
         summand = summand * 4 * (n + i - 1) * (n - i + 1) // ((2 * i - 1) * 2 * i)
         d.append(d[-1] + summand)
     weights = np.array([(d[n] - d_k) / d[n] for d_k in d[:n]])
+    weights[1::2] *= -1.0
+    # complex, as numpy would cast them to multiply complex terms
+    weights = weights.astype(complex)
     weights.flags.writeable = False
     return weights
+
+
+@functools.lru_cache(maxsize=1024)
+def _decay_sums(n: int, sigma: float) -> tuple[float, float]:
+    """A = sum_k e_k k^(-sigma) and B = sum_k e_k k^(-sigma) ln k over the n
+    Borwein weights: the terms' part of ``_rounding_bound``."""
+    k = np.arange(1.0, n + 1.0)
+    decay = np.abs(_borwein_weights(n).real) * k ** -sigma
+    return float(np.add.reduce(decay)), float(np.add.reduce(decay * np.log(k)))
 
 
 def zeta_partial(z: complex, n: int) -> complex:
@@ -186,7 +262,7 @@ def zeta_partial(z: complex, n: int) -> complex:
     z = _require_finite(z)
     n = _require_n(n)
     _check_overflow(z, n)
-    (value,) = _partial_sums(z, (n,))
+    (value,), _ = _partial_sums(z, (n,))
     return complex(value)
 
 
@@ -195,14 +271,36 @@ def eta_partial(z: complex, n: int) -> complex:
     z = _require_finite(z)
     n = _require_n(n)
     _check_overflow(z, n)
-    (value,) = _partial_sums(z, (n,), alternating=True)
+    _, (value,) = _partial_sums(z, alternating=(n,))
     return complex(value)
 
 
-def _regularization_tail(z: complex, n: int) -> np.clongdouble:
-    # n^(1-z)/(1-z) in extended precision; exact for n = 1 (log 1 = 0).
+def _require_regular(z: complex) -> None:
+    if abs(z - 1.0) <= GUARD_RADIUS:
+        raise SingularityError(f"regularized sum undefined at z={z!r} (division by 1-z)")
+
+
+def _regularized(z: complex, n: int, plain) -> complex:
+    # zeta_n(z) - n^(1-z)/(1-z), the tail in extended precision; exact for
+    # n = 1 (log 1 = 0)
     one_minus_z = _LD(1.0 - z)
-    return np.exp(one_minus_z * np.log(_RD(n))) / one_minus_z
+    return complex(plain - np.exp(one_minus_z * np.log(_RD(n))) / one_minus_z)
+
+
+def partial_sums(z: complex, n: int) -> tuple[complex, complex, complex | None]:
+    """(zeta_n(z), xi_n(z), zhat_n(z)) from one term pass.
+
+    Each value is bit for bit what ``zeta_partial``, ``eta_partial`` and
+    ``zeta_hat_regularized`` return; zhat_n is taken from the plain stream,
+    and is None within ``GUARD_RADIUS`` of z = 1, where
+    ``zeta_hat_regularized`` raises SingularityError.
+    """
+    z = _require_finite(z)
+    n = _require_n(n)
+    _check_overflow(z, n)
+    (plain,), (alternating,) = _partial_sums(z, (n,), alternating=(n,))
+    regularized = None if abs(z - 1.0) <= GUARD_RADIUS else _regularized(z, n, plain)
+    return complex(plain), complex(alternating), regularized
 
 
 def zeta_hat_regularized(z: complex, n: int) -> complex:
@@ -228,11 +326,10 @@ def zeta_hat_regularized_schedule(z: complex, marks: list[int]) -> list[complex]
         return []
     if any(m < 1 for m in marks) or any(b <= a for a, b in zip(marks, marks[1:])):
         raise ValueError(f"marks must be strictly increasing and >= 1, got {marks!r}")
-    if abs(z - 1.0) <= GUARD_RADIUS:
-        raise SingularityError(f"regularized sum undefined at z={z!r} (division by 1-z)")
+    _require_regular(z)
     _check_overflow(z, marks[-1])
-    values = _partial_sums(z, tuple(marks))
-    return [complex(s - _regularization_tail(z, m)) for m, s in zip(marks, values)]
+    values, _ = _partial_sums(z, tuple(marks))
+    return [_regularized(z, m, s) for m, s in zip(marks, values)]
 
 
 def _eta_prefactor(z: complex) -> complex:
@@ -245,18 +342,88 @@ def _eta_prefactor(z: complex) -> complex:
     return prefactor
 
 
-def _borwein_length(z: complex, prefactor: complex) -> tuple[int, float]:
-    """(n, truncation bound): the shortest Borwein sum at z whose bound is <= 2^-52.
+def _borwein_lengths(z: np.ndarray, prefactor: np.ndarray,
+                     sigma: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """(n, ln of the truncation bound over 2^-52 at n = 0) at each point.
 
-    Borwein's remainder is below Gamma(Re z) / (d_n |Gamma(z)| |1-2^(1-z)|)
-    with d_n > (3+sqrt 8)^n / 2; his published bound omits Gamma(Re z) and
-    fails for small and for large Re z.  |Gamma(z)| = |Gamma(z+1)| / |z|
-    keeps clear of the reflection formula.
+    n is the shortest Borwein sum whose truncation bound is <= 2^-52, as a
+    float array of whole numbers; ``sigma`` is Re z as a list.  Borwein's
+    remainder is below
+    Gamma(Re z) / (d_n |Gamma(z)| |1-2^(1-z)|) with d_n > (3+sqrt 8)^n / 2;
+    his published bound omits Gamma(Re z) and fails for small and for large
+    Re z.  |Gamma(z)| = |Gamma(z+1)| / |z| keeps clear of the reflection
+    formula; log Gamma(z+1) is the Lanczos sum of
+    ``special_functions.log_gamma``, taken on the whole array:
+    ln(2 pi)/2 + (z + 1/2) log t - t + log acc, with t = z + g + 1/2.
     """
-    log_scale = (LN_2 + math.lgamma(z.real) - log_gamma(z + 1.0).real + math.log(abs(z))
-                 - math.log(abs(prefactor)))
-    n = max(1, math.ceil((log_scale - math.log(_EPS)) / _LN_BORWEIN_RATE))
-    return n, math.exp(log_scale - n * _LN_BORWEIN_RATE)
+    acc = np.empty(len(z), dtype=complex)
+    for r in range(0, len(z), _LANCZOS_ROWS):
+        terms = z[r:r + _LANCZOS_ROWS, np.newaxis] + _LANCZOS_K
+        np.add.reduce(np.divide(_LANCZOS_C, terms, out=terms), axis=-1, initial=_LANCZOS_C0,
+                      out=acc[r:r + _LANCZOS_ROWS])
+    t = z + _LANCZOS_SHIFT
+    log_scale = (np.log(z / (acc * prefactor)) - np.log(t) * (z + _HALF) + t).real + np.array(
+        [math.lgamma(s) + _LN_SCALE_CONSTANT for s in sigma])
+    return np.maximum(np.ceil(log_scale / _LN_BORWEIN_RATE), 1.0), log_scale
+
+
+def _borwein_sums(points: Iterable[complex]):
+    """(z, prefactor, value, n, log scale of ``_borwein_lengths``), one entry per point.
+
+    The inner path of ``zeta_hat_eta_batch``: the checks and the Borwein
+    lengths are array passes, while the prefactor 1 - 2^(1-z) is Python's
+    complex power per point, so that each value is bit for bit the
+    one-point value, and is guarded with Python's abs as it is made.  The
+    points are cut, in their order, into blocks of at most
+    ``_BLOCK_ENTRIES`` terms; each block is one ``_partial_sums`` pass whose
+    rows carry their own pre-signed weights.  The first invalid point raises
+    what ``zeta_hat_eta`` raises there.
+    """
+    z = np.fromiter(points, dtype=complex)
+    sigma = z.real.tolist()
+    if False in np.isfinite(z).tolist() or min(sigma, default=1.0) <= 0.0:
+        _refuse(z)
+    prefactor = [1.0 - 2.0 ** (1.0 - w) for w in z.tolist()]
+    if min(map(abs, prefactor), default=1.0) <= GUARD_RADIUS:
+        _refuse(z)
+    prefactor = np.array(prefactor, dtype=complex)
+    n, log_scale = _borwein_lengths(z, prefactor, sigma)
+    n = n.astype(np.int64)
+    lengths = n.tolist()
+    if max(lengths, default=0) > BORWEIN_BUDGET:
+        _refuse(z)
+
+    if not lengths:
+        return z, prefactor, z, n, log_scale
+    xi = []
+    b0 = 0
+    while b0 < len(lengths):
+        b1, width = b0 + 1, min(lengths[b0], _CHUNK)
+        while b1 < len(lengths):
+            wider = max(width, min(lengths[b1], _CHUNK))
+            if (b1 + 1 - b0) * wider > _BLOCK_ENTRIES:
+                break
+            b1, width = b1 + 1, wider
+        (block,), _ = _partial_sums(z[b0:b1],
+                                    weights=[_borwein_weights(k) for k in lengths[b0:b1]])
+        xi.append(block)
+        b0 = b1
+    value = ((xi[0] if len(xi) == 1 else np.concatenate(xi)) / prefactor).astype(complex)
+    return z, prefactor, value, n, log_scale
+
+
+def _refuse(z: np.ndarray) -> NoReturn:
+    """Raise what ``zeta_hat_eta`` raises at the first invalid point of ``z``."""
+    for w in z.tolist():
+        w = _require_finite(w)
+        if w.real <= 0.0:
+            raise DomainError(f"alternating-series evaluation requires Re z > 0, got {w!r}")
+        prefactor = _eta_prefactor(w)
+        (n,), _ = _borwein_lengths(np.array([w]), np.array([prefactor]), [w.real])
+        if n > BORWEIN_BUDGET:
+            raise BudgetError(f"zeta_hat_eta at z={w!r} needs a Borwein series of "
+                              f"{int(n)} terms, above the budget {BORWEIN_BUDGET}")
+    raise AssertionError("no invalid point")
 
 
 def zeta_hat_eta(z: complex) -> SeriesValue:
@@ -275,47 +442,23 @@ def zeta_hat_eta(z: complex) -> SeriesValue:
 
 
 def zeta_hat_eta_batch(points: Iterable[complex]) -> list[SeriesValue]:
-    """``zeta_hat_eta`` at each of ``points``, bit for bit, in batched passes.
+    """``zeta_hat_eta`` at each of ``points``, bit for bit, in array passes.
 
-    The points are grouped by their series length n, which fixes the Borwein
-    weights, and each group is summed in one pass over a points x n term
-    matrix, in blocks of at most ``_BLOCK_ENTRIES`` terms.  Every row is
-    summed on its own (chunk by chunk, in extended precision), so a value
-    does not depend on the other points.  The first invalid point raises what
-    ``zeta_hat_eta`` raises there.
+    Each row of the batch's term matrices is summed on its own (chunk by
+    chunk, in extended precision), so a value does not depend on the other
+    points.  The first invalid point raises what ``zeta_hat_eta`` raises
+    there.
     """
-    zs = [_require_finite(z) for z in points]
-    prefactors, lengths = [], []
-    for z in zs:
-        if z.real <= 0.0:
-            raise DomainError(f"alternating-series evaluation requires Re z > 0, got {z!r}")
-        prefactors.append(_eta_prefactor(z))
-        lengths.append(_borwein_length(z, prefactors[-1]))
-        if lengths[-1][0] > BORWEIN_BUDGET:
-            raise BudgetError(f"zeta_hat_eta at z={z!r} needs a Borwein series of "
-                              f"{lengths[-1][0]} terms, above the budget {BORWEIN_BUDGET}")
-
-    groups: dict[int, list[int]] = {}
-    for i, (n, _) in enumerate(lengths):
-        groups.setdefault(n, []).append(i)
-    out: list[SeriesValue] = [None] * len(zs)  # type: ignore[list-item]
-    for n, members in groups.items():
-        weights = _borwein_weights(n)
-        z, prefactor = [zs[i] for i in members], [prefactors[i] for i in members]
-        rows = max(1, _BLOCK_ENTRIES // min(n, _CHUNK))
-        values = []
-        for b in range(0, len(members), rows):
-            (xi,) = _partial_sums(np.array(z[b:b + rows]), (n,), alternating=True,
-                                  weights=weights)
-            values += (xi / np.array(prefactor[b:b + rows])).astype(complex).tolist()
-        for i, value, r in zip(members, values, _rounding_bounds(z, prefactor, values, weights)):
-            out[i] = SeriesValue(value, n, lengths[i][1] + r)
-    return out
+    z, prefactor, value, n, log_scale = _borwein_sums(points)
+    # the truncation bound is 2^-52 exp(log_scale) / (3 + sqrt 8)^n
+    return [SeriesValue(v, k, _EPS * math.exp(s - k * _LN_BORWEIN_RATE)
+                        + _rounding_bound(zi, pi, v, k))
+            for zi, pi, v, k, s in zip(z.tolist(), prefactor.tolist(), value.tolist(),
+                                        n.tolist(), log_scale.tolist())]
 
 
-def _rounding_bounds(z: list[complex], prefactor: list[complex], value: list[complex],
-                     weights: np.ndarray) -> list[float]:
-    """First-order rounding bound of each value, all of one series length.
+def _rounding_bound(z: complex, prefactor: complex, value: complex, n: int) -> float:
+    """First-order rounding bound of a value of series length n.
 
     A term exp(-z ln k) is off by (2 + |z| ln k) eps relative, its weighting
     by eps (the extended-precision sum, pairwise within each 4096-term chunk
@@ -323,48 +466,43 @@ def _rounding_bounds(z: list[complex], prefactor: list[complex], value: list[com
     |z| ln k eps), 1 - 2^(1-z) absolutely by
     eps (|2^(1-z)| (2 + |1-z|) + |prefactor|), and the division by eps.
     The terms' part, eps sum_k e_k k^(-Re z) (3 + |z| ln k), is taken as
-    eps (3 A + |z| B) with A = sum_k e_k k^(-Re z) and B = sum_k e_k k^(-Re z)
-    ln k, each summed once per distinct Re z, so a bound depends only on n and
-    its own point.  |z| is Python's abs: numpy's complex abs differs from it
-    in the last bit for about a third of points.
+    eps (3 A + |z| B) with A and B from ``_decay_sums``, cached per length
+    and Re z, so a bound depends only on n and its own point.  The rest is
+    a handful of scalar operations: only the public values carry a bound,
+    mostly one point at a time, and for one point Python's arithmetic costs
+    less than numpy's per-call overhead.
     """
-    k = np.arange(1.0, len(weights) + 1.0)
-    log_k = np.log(k)
-    sums = {}
-    for sigma in {zi.real for zi in z}:
-        decay = weights * k ** -sigma
-        sums[sigma] = float(np.add.reduce(decay)), float(np.add.reduce(decay * log_k))
-    bounds = []
-    for zi, pi, vi in zip(z, prefactor, value):
-        a, b = sums[zi.real]
-        prefactor_bound = 2.0 ** (1.0 - zi.real) * (2.0 + abs(1.0 - zi)) + 2.0 * abs(pi)
-        bounds.append(_EPS * (3.0 * a + abs(zi) * b + abs(vi) * prefactor_bound) / abs(pi))
-    return bounds
+    a, b = _decay_sums(n, z.real)
+    prefactor_bound = 2.0 ** (1.0 - z.real) * (2.0 + abs(1.0 - z)) + 2.0 * abs(prefactor)
+    return _EPS * (3.0 * a + abs(z) * b + abs(value) * prefactor_bound) / abs(prefactor)
 
 
 def identity_residual_plain(z: complex, n: int) -> float:
     """|xi_{2n}(z) - (zeta_{2n}(z) - 2^(1-z) zeta_n(z))|.
 
     The identity is exact (even terms of zeta_{2n} rescale to zeta_n), so the
-    residual measures rounding noise of the implementation only.
+    residual measures rounding noise of the implementation only.  All three
+    sums come from one term pass.
     """
     z = _require_finite(z)
     n = _require_n(n)
-    xi = eta_partial(z, 2 * n)
-    zeta_n, zeta_2n = _partial_sums(z, (n, 2 * n))
+    _check_overflow(z, 2 * n)
+    (zeta_n, zeta_2n), (xi,) = _partial_sums(z, (n, 2 * n), alternating=(2 * n,))
     rhs = complex(zeta_2n) - 2.0 ** (1.0 - z) * complex(zeta_n)
-    return abs(xi - rhs)
+    return abs(complex(xi) - rhs)
 
 
 def identity_residual_regularized(z: complex, n: int) -> float:
     """|xi_{2n}(z) - (zhat_{2n}(z) - 2^(1-z) zhat_n(z))|.
 
     Holds exactly because (2n)^(1-z) = 2^(1-z) n^(1-z) makes the subtracted
-    tails cancel; raises SingularityError near z = 1.
+    tails cancel; raises SingularityError near z = 1.  All three sums come
+    from one term pass.
     """
     z = _require_finite(z)
     n = _require_n(n)
-    xi = eta_partial(z, 2 * n)
-    zhat_n, zhat_2n = zeta_hat_regularized_schedule(z, [n, 2 * n])
-    rhs = zhat_2n - 2.0 ** (1.0 - z) * zhat_n
-    return abs(xi - rhs)
+    _require_regular(z)
+    _check_overflow(z, 2 * n)
+    (zeta_n, zeta_2n), (xi,) = _partial_sums(z, (n, 2 * n), alternating=(2 * n,))
+    rhs = _regularized(z, 2 * n, zeta_2n) - 2.0 ** (1.0 - z) * _regularized(z, n, zeta_n)
+    return abs(complex(xi) - rhs)

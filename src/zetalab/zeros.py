@@ -3,9 +3,10 @@
 On the line, Hardy's function Z(t) = exp(i theta(t)) zeta(1/2 + i t) is real
 with |Z(t)| = |zeta(1/2 + i t)|, so every zero of odd order is a sign change
 of Z (Edwards, *Riemann's Zeta Function*, ch. 6-7).  A grid scan brackets the
-sign changes and each bracket is refined by the Illinois variant of regula
-falsi.  Found zeros are cross-checkable against externally ingested
-reference tables (one decimal ordinate per line, '#' comments).
+sign changes and every bracket is refined by the Illinois variant of regula
+falsi, all brackets of a scan in lockstep.  Found zeros are cross-checkable
+against externally ingested reference tables (one decimal ordinate per line,
+'#' comments).
 
 The search is restricted to the critical line: the experiments need known
 zeros, and every verified zero lies there.
@@ -28,7 +29,7 @@ from .errors import (
     ParseError,
     WindowTooCoarse,
 )
-from .series import zeta_hat_eta_batch
+from .series import _borwein_sums
 from .special_functions import LN_PI, _lanczos_log_gamma
 
 #: Scan steps above this risk skipping zeros below t = 100: two zeros inside
@@ -40,15 +41,21 @@ MAX_SCAN_STEP = 0.5
 MAX_REFINE_ITERATIONS = 60
 
 #: Largest number of steps in a scan grid (a 3276.8-wide window at step
-#: 0.05); the batched grid pass holds about 0.5 kB per point at once, so
-#: this keeps one scan's memory near 30 MB and its time bounded.
+#: 0.05); the batched grid pass holds about 0.17 kB per point at once, so
+#: this keeps one scan's memory near 11 MB and its time bounded.
 GRID_BUDGET = 1 << 16
+
+#: From this ordinate on, theta(t) is taken from its asymptotic series; the
+#: first omitted term, 511/(1216512 t^9), is below 1e-12 there.
+THETA_SERIES_FROM = 10.0
 
 #: Default bound on |zhat| at a reported zero.
 DEFAULT_TOLERANCE = 1e-10
 
 #: A plain decimal, unlike ``float`` which also takes '1_000', 'nan' and 'inf'.
 _DECIMAL = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+
+_TWO_PI_E = 2.0 * math.pi * math.e
 
 
 @dataclass(frozen=True)
@@ -120,12 +127,21 @@ class CrosscheckReport:
 
 
 def _theta(t: float) -> float:
-    """Riemann-Siegel theta(t) up to 2*pi, which leaves exp(i theta) unchanged.
+    """Riemann-Siegel theta(t), up to 2*pi below ``THETA_SERIES_FROM``.
 
-    theta(t) = Im log Gamma(w) - (t/2) ln pi with w = 1/4 + i t/2, taken by
-    Gamma(w+1) = w Gamma(w) as Im(log Gamma(w+1) - log w) - (t/2) ln pi, which
-    keeps the Lanczos sum off the reflection formula.
+    From the cut-off on, theta(t) = (t/2) ln(t/(2 pi e)) - pi/8 + 1/(48 t)
+    + 7/(5760 t^3) + 31/(80640 t^5) + 127/(430080 t^7) + ...
+    Below it, theta(t) = Im log Gamma(w) - (t/2) ln pi with w = 1/4 + i t/2,
+    taken by Gamma(w+1) = w Gamma(w) as Im(log Gamma(w+1) - log w) -
+    (t/2) ln pi, which keeps the Lanczos sum off the reflection formula; its
+    branch is fixed only up to 2*pi, which leaves exp(i theta) unchanged.
     """
+    if t >= THETA_SERIES_FROM:
+        u = 1.0 / t
+        u2 = u * u
+        return (0.5 * t * math.log(t / _TWO_PI_E) - math.pi / 8.0
+                + u * (1.0 / 48.0 + u2 * (7.0 / 5760.0 + u2 * (31.0 / 80640.0
+                                                                + u2 * (127.0 / 430080.0)))))
     w = complex(0.25, 0.5 * t)
     return (_lanczos_log_gamma(w + 1.0) - cmath.log(w)).imag - 0.5 * t * LN_PI
 
@@ -138,7 +154,7 @@ def _evaluate(ts: list[float]) -> tuple[list[float], list[float]]:
     depends on its ordinate only, so the scan grid and each refinement step,
     which call this, evaluate the same function.
     """
-    values = [v.value for v in zeta_hat_eta_batch([complex(0.5, t) for t in ts])]
+    values = _borwein_sums(complex(0.5, t) for t in ts)[2].tolist()
     return ([(cmath.exp(1j * _theta(t)) * v).real for t, v in zip(ts, values)],
             [abs(v) for v in values])
 
@@ -165,6 +181,37 @@ def _checked(t: float, residual: float, tolerance: float, where: str,
     return ZeroRecord(index=0, ordinate=t, residual_mag=residual, refined=refined)
 
 
+def _refine(brackets: list[tuple[float, float, float, float]]) -> list[tuple[float, float]]:
+    """(last iterate, |zhat| there) of each sign-change bracket (t_lo, t_hi, Z(t_lo), Z(t_hi)).
+
+    The brackets are refined in lockstep: each Illinois step of every bracket
+    still running is one ``_evaluate`` call.  Each bracket keeps its own
+    iterates and its own stopping rule, so its result is what it would be
+    alone.
+    """
+    # a, Z(a), b, Z(b), the step bound, and |zhat| at b
+    state = [[t_lo, z_lo, t_hi, z_hi, 4.0 * math.ulp(max(abs(t_lo), abs(t_hi))), math.nan]
+             for t_lo, t_hi, z_lo, z_hi in brackets]
+    running = state
+    for _ in range(MAX_REFINE_ITERATIONS):
+        if not running:
+            break
+        ts = [b - fb * (b - a) / (fb - fa) for a, fa, b, fb, *_ in running]
+        values, residuals = _evaluate(ts)
+        still = []
+        for s, t, z, residual in zip(running, ts, values, residuals):
+            a, fa, b, fb, xtol, _ = s
+            if z * fb < 0.0:
+                a, fa = b, fb
+            else:
+                fa *= 0.5
+            s[:] = a, fa, t, z, xtol, residual
+            if not (z == 0.0 or abs(t - b) <= xtol):
+                still.append(s)
+        running = still
+    return [(b, residual) for _, _, b, _, _, residual in state]
+
+
 def refine_zero(t_lo: float, t_hi: float, *, tolerance: float = DEFAULT_TOLERANCE,
                 z_lo: float | None = None, z_hi: float | None = None) -> ZeroRecord:
     """Refine the zero inside a sign-change bracket [t_lo, t_hi] of Z.
@@ -174,6 +221,7 @@ def refine_zero(t_lo: float, t_hi: float, *, tolerance: float = DEFAULT_TOLERANC
     halves the value kept at a stale end) run until consecutive iterates are
     within four ulps or Z is exactly 0.  The reported ordinate is the last
     iterate, so it lies in the bracket, and ``residual_mag`` is |zhat| there.
+    This is the one-bracket case of the lockstep refinement of ``scan_zeros``.
 
     Raises BracketError unless Z(t_lo) and Z(t_hi) have strictly opposite
     signs, ConfigError unless ``tolerance`` is finite and > 0, and NoConvergence, naming the
@@ -192,21 +240,8 @@ def refine_zero(t_lo: float, t_hi: float, *, tolerance: float = DEFAULT_TOLERANC
         raise BracketError(
             f"Z has no sign change on [{t_lo}, {t_hi}]: Z = {z_lo:.3e}, {z_hi:.3e}"
         )
-
-    xtol = 4.0 * math.ulp(max(abs(t_lo), abs(t_hi)))
-    a, fa, b, fb = t_lo, z_lo, t_hi, z_hi
-    for _ in range(MAX_REFINE_ITERATIONS):
-        t = b - fb * (b - a) / (fb - fa)
-        (z,), (residual,) = _evaluate([t])
-        if z * fb < 0.0:
-            a, fa = b, fb
-        else:
-            fa *= 0.5
-        step = abs(t - b)
-        b, fb = t, z
-        if z == 0.0 or step <= xtol:
-            break
-    return _checked(b, residual, tolerance, f"bracket [{t_lo}, {t_hi}]", refined=True)
+    ((t, residual),) = _refine([(t_lo, t_hi, z_lo, z_hi)])
+    return _checked(t, residual, tolerance, f"bracket [{t_lo}, {t_hi}]", refined=True)
 
 
 def scan_zeros(window: ScanWindow, *, tolerance: float = DEFAULT_TOLERANCE) -> list[ZeroRecord]:
@@ -214,9 +249,11 @@ def scan_zeros(window: ScanWindow, *, tolerance: float = DEFAULT_TOLERANCE) -> l
 
     Evaluates Z on a grid from t_min to exactly t_max with spacing at most
     ``step``, refines every strict sign change between neighbouring points,
-    and takes a grid point where Z is exactly 0 as a zero itself (with
-    ``refined`` False).  Records are ordered (and 1-indexed) by ordinate.
-    Any zero whose |zhat| exceeds ``tolerance`` raises NoConvergence.
+    all in lockstep (one ``_evaluate`` call per Illinois step), and takes a
+    grid point where Z is exactly 0 as a zero itself (with ``refined``
+    False).  Records are ordered (and 1-indexed) by ordinate.  Any zero whose
+    |zhat| exceeds ``tolerance`` raises NoConvergence; the first in order
+    is named.
     """
     _require_tolerance(tolerance)
     if window.step > MAX_SCAN_STEP:
@@ -227,13 +264,17 @@ def scan_zeros(window: ScanWindow, *, tolerance: float = DEFAULT_TOLERANCE) -> l
     grid = window.grid()
     values, residuals = _evaluate(grid)
 
-    found: list[ZeroRecord] = []
-    for i, (t, z, residual) in enumerate(zip(grid, values, residuals)):
+    brackets = [(t, grid[i + 1], z, values[i + 1]) for i, (t, z) in enumerate(zip(grid, values))
+                if i + 1 < len(grid) and z * values[i + 1] < 0.0]
+    refined = iter(_refine(brackets))
+
+    found = []
+    for i, (t, z) in enumerate(zip(grid, values)):
         if z == 0.0:
-            found.append(_checked(t, residual, tolerance, "grid point", refined=False))
+            found.append(_checked(t, residuals[i], tolerance, "grid point", refined=False))
         elif i + 1 < len(grid) and z * values[i + 1] < 0.0:
-            found.append(refine_zero(t, grid[i + 1], tolerance=tolerance,
-                                     z_lo=z, z_hi=values[i + 1]))
+            found.append(_checked(*next(refined), tolerance, f"bracket [{t}, {grid[i + 1]}]",
+                                  refined=True))
     return [replace(r, index=i) for i, r in enumerate(found, start=1)]
 
 
@@ -246,7 +287,8 @@ def load_zero_table(path) -> list[float]:
     to increase.
     """
     ordinates: list[float] = []
-    text = Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):

@@ -142,6 +142,17 @@ HARDY_Z_SAMPLES = [
     (10000.3, 0.53573750872000793),
 ]
 
+# Riemann-Siegel theta(t) (mpmath.siegeltheta), at the cut-off of its
+# asymptotic series (t = 10), at the first zero, and across the scan range
+THETA_SAMPLES = [
+    (10.0, -3.0670743962898952917),
+    (14.1347251417346938, -1.7286702466758374916),
+    (50.2, 26.668978737786358464),
+    (99.5, 87.280969043090791617),
+    (1000.3, 2035.3069322614196229),
+    (10000.3, 31863.029702581568219),
+]
+
 # --- doubling constants at the first zero --------------------------------
 
 RHO1 = complex(0.5, 14.1347251417346938)
@@ -236,6 +247,8 @@ def _regenerate(write_table: str | None) -> None:
 
     for t, _ in HARDY_Z_SAMPLES:
         print("   siegelz", f(mp.mpf(t)), "->", f(mp.siegelz(mp.mpf(t))))
+    for t, _ in THETA_SAMPLES:
+        print("   siegeltheta", f(mp.mpf(t)), "->", f(mp.siegeltheta(mp.mpf(t)), 20))
 
     rho1 = mp.zetazero(1)
     print("RHO1 =", cpair(rho1, 18))

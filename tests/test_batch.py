@@ -67,21 +67,32 @@ class TestBatchEqualsScalar:
         assert all(series._CHUNK < v.n_used <= 2 * series._CHUNK for v in batch)
 
     def test_points_span_several_blocks(self, monkeypatch):
-        rows = []
+        # blocks are cut in the order of the points and hold as many rows as
+        # fit in _BLOCK_ENTRIES terms, each row as wide as the block's widest
+        blocks = []
 
-        def spy(z, marks, *args, **kwargs):
-            rows.append((marks[-1], len(z)))
-            return partial_sums(z, marks, *args, **kwargs)
+        def spy(z, *args, weights=None, **kwargs):
+            blocks.append([len(w) for w in weights])
+            return partial_sums(z, *args, weights=weights, **kwargs)
 
         partial_sums = series._partial_sums
         monkeypatch.setattr(series, "_partial_sums", spy)
-        points = [complex(0.5, 3000.0 + 0.01 * i) for i in range(60)]
-        n = zeta_hat_eta_batch(points)[0].n_used
+        points = [complex(0.5, 300.0 + 0.01 * i) for i in range(60)]
+        lengths = [v.n_used for v in zeta_hat_eta_batch(points)]
         monkeypatch.undo()
-        blocks = [size for m, size in rows if m == n]
-        assert len(blocks) >= 2
-        assert max(blocks) == series._BLOCK_ENTRIES // n
+        assert len(blocks) >= 2 and sum(blocks, []) == lengths
+        for block, following in zip(blocks, blocks[1:]):
+            assert len(block) * max(block) <= series._BLOCK_ENTRIES
+            assert (len(block) + 1) * max(block + following[:1]) > series._BLOCK_ENTRIES
         assert_matches_scalar(points)
+
+    def test_lengths_across_the_chunk_boundary(self):
+        # series of about 3985 to 4255 terms, on both sides of the 4096-term
+        # chunk, batched with short ones
+        points = [complex(0.5, t) for t in (4400.0, 20.0, 4500.0, 4550.0, 4650.0, 25.0, 4700.0)]
+        batch = assert_matches_scalar(points)
+        assert min(v.n_used for v in batch) < 64
+        assert min(v.n_used for v in batch[::2]) < series._CHUNK < max(v.n_used for v in batch)
 
     def test_order_of_points_does_not_matter(self):
         points = [complex(0.5, 41.7 + 0.37 * i) for i in range(30)]

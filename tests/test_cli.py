@@ -8,6 +8,7 @@ from dataclasses import asdict
 
 from zetalab import (
     DOUBLING_BUDGET,
+    cli,
     error_scaling_scan,
     eta_partial,
     reference_table_path,
@@ -487,6 +488,37 @@ class TestUnusableFiles:
         assert code == 2
         assert err.startswith("error: ")
         assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("args", [
+        ["eval", "--z", "2+0i", "--out", "blocker/r.json"],
+        ["residual", "--rcount", "2", "--icount", "2", "--out", "blocker/r.csv"],
+        ["zeros", "--tmin", "14", "--tmax", "15", "--out", "blocker/sub/r.json"],
+        ["doubling", "--zero-index", "1", "--out", "blocker/r.json"],
+        ["errscan", "--z", "0.5+10i", "--nmax", "4096", "--out", "r.json",
+         "--csv", "blocker/e.csv"],
+    ], ids=["eval", "residual", "zeros", "doubling", "errscan-csv"])
+    def test_unwritable_output_found_before_any_sum(self, capsys, monkeypatch, tmp_path, args):
+        # a regular file where a directory of the path should be; no report,
+        # not even errscan's JSON beside its CSV, is left behind
+        def refuse(*args, **kwargs):
+            pytest.fail("a series was summed before the output path was checked")
+        monkeypatch.setattr(series, "_partial_sums", refuse)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "blocker").write_text("")
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert "error: NotADirectoryError" in err
+        assert out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
+    def test_errscan_writes_its_csv_before_its_report(self, capsys, monkeypatch, tmp_path):
+        written = []
+        monkeypatch.setattr(cli, "atomic_write_text", lambda path, text: written.append(path))
+        code, _, _ = run_cli(["errscan", "--z", "0.5+10i", "--nmax", "4096",
+                              "--out", str(tmp_path / "r.json"),
+                              "--csv", str(tmp_path / "e.csv")], capsys)
+        assert code == 0
+        assert written == [str(tmp_path / "e.csv"), str(tmp_path / "r.json")]
 
 
 class TestInvalidValues:

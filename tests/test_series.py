@@ -139,27 +139,54 @@ class TestZetaHatEtaLongSums:
         n = (1 << 19) + 5
         for k in (1 << 19, (1 << 19) + 3):
             weights = np.zeros(n)
-            weights[k - 1] = 1.0
-            (value,) = _partial_sums(z, (n,), alternating=True, weights=weights)
+            weights[k - 1] = (-1) ** (k - 1)
+            (value,), _ = _partial_sums([z], weights=[weights])
             expected = (-1) ** (k - 1) * k ** -z
-            assert abs(complex(value) - expected) <= 1e-12 * abs(expected), k
+            assert abs(complex(value[0]) - expected) <= 1e-12 * abs(expected), k
 
 
 class TestAccumulator:
+    @staticmethod
+    def stream(z, marks, alternating):
+        plain, alt = _partial_sums(z, **{"alternating" if alternating else "marks": marks})
+        return alt if alternating else plain
+
     @pytest.mark.parametrize("alternating", [False, True])
     def test_sum_at_a_mark_does_not_depend_on_other_marks(self, alternating):
         # the first and last term of the second chunk, one past it, and n
         z = complex(0.3, 20.0)
         chunk = series._CHUNK
         marks = (chunk + 1, 2 * chunk, 2 * chunk + 1, 3 * chunk + 5)
-        schedule = _partial_sums(z, marks, alternating=alternating)
+        schedule = self.stream(z, marks, alternating)
         for m, inside in zip(marks, schedule):
-            (alone,) = _partial_sums(z, (m,), alternating=alternating)
+            (alone,) = self.stream(z, (m,), alternating)
             assert alone == inside, m
         # and the last term of the first chunk, within a batch
-        (batch,) = _partial_sums(np.array([z, 0.5 + 3.0j]), (chunk,), alternating=alternating)
-        inside = _partial_sums(z, (chunk, marks[-1]), alternating=alternating)[0]
+        (batch,) = self.stream(np.array([z, 0.5 + 3.0j]), (chunk,), alternating)
+        inside = self.stream(z, (chunk, marks[-1]), alternating)[0]
         assert batch[0] == inside
+
+    @pytest.mark.parametrize("z", [complex(0.3, 20.0), complex(2.0, 0.0), complex(0.5, -0.0)])
+    def test_two_streams_from_one_pass(self, z):
+        # the plain and the alternating stream of one term pass, each at its
+        # own marks, equal single-stream passes, sign of zero included
+        chunk = series._CHUNK
+        plain_marks, alt_marks = (7, chunk, 2 * chunk + 3), (chunk - 1, 2 * chunk + 3)
+        plain, alt = _partial_sums(z, plain_marks, alternating=alt_marks)
+        for both, alone in ((plain, self.stream(z, plain_marks, False)),
+                            (alt, self.stream(z, alt_marks, True))):
+            assert [(v.real.hex(), v.imag.hex()) for v in map(complex, both)] == \
+                [(v.real.hex(), v.imag.hex()) for v in map(complex, alone)]
+
+    def test_rows_of_different_lengths_across_chunks(self):
+        # one term matrix for rows of 100, 4095 and 4200 terms: each row's sum
+        # is the sum it has alone, and the short rows stop at their own n
+        z = np.array([0.5 + 300.0j, 0.3 + 20.0j, 0.5 + 4600.0j, 0.5 + 4601.0j])
+        weights = [series._borwein_weights(n) for n in (100, 4095, 4200, 4200)]
+        (rows,), _ = _partial_sums(z, weights=weights)
+        for zi, w, row in zip(z, weights, rows):
+            (alone,), _ = _partial_sums([zi], weights=[w])
+            assert (row.real, row.imag) == (alone[0].real, alone[0].imag)
 
     @pytest.mark.parametrize("z", [complex(0.05, 3.0), complex(0.5, 14.134725141734693),
                                    complex(0.9, -1000.0)])
@@ -169,7 +196,7 @@ class TestAccumulator:
         # a running sum of the 2^20 terms was 0.8 * 2^-58 sum |t_k| off at
         # 0.05+3i, one ulp once rounded to double
         n = 1 << 20
-        (value,) = _partial_sums(z, (n,))
+        (value,), _ = _partial_sums(z, (n,))
         terms = np.exp(-z * np.log(np.arange(1.0, n + 1.0)))
         bound = 2.0 ** -60 * float(np.abs(terms).sum())
         for got, part in ((value.real, terms.real), (value.imag, terms.imag)):
@@ -231,7 +258,8 @@ class TestBorweinBudget:
     @staticmethod
     def length(t):
         z = complex(0.5, t)
-        return series._borwein_length(z, series._eta_prefactor(z))[0]
+        prefactor = series._eta_prefactor(z)
+        return int(series._borwein_lengths(np.array([z]), np.array([prefactor]), [z.real])[0][0])
 
     def test_boundary(self):
         t_lo, t_hi = 1e4, 1e5

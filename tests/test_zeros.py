@@ -86,8 +86,8 @@ class TestScan:
         for record in five_records:
             rho = complex(0.5, record.ordinate)
             n = 2 * zeta_hat_eta(rho).n_used
-            (xi,) = _partial_sums(rho, (n,), alternating=True, weights=_borwein_weights(n))
-            assert abs(complex(xi) / (1.0 - 2.0 ** (1.0 - rho))) <= 1e-8
+            (xi,), _ = _partial_sums([rho], weights=[_borwein_weights(n)])
+            assert abs(complex(xi[0]) / (1.0 - 2.0 ** (1.0 - rho))) <= 1e-8
 
     def test_reflected_point_also_vanishes(self, five_records):
         # 1 - rho is a zero whenever rho is
@@ -133,6 +133,47 @@ class TestScan:
         monkeypatch.setattr(zeros, "_evaluate", counted)
         assert len(scan_zeros(ScanWindow(77.1, 97.1, 0.05))) == 9
         assert misses[0] == 19 and len(misses) > 1 and misses[-1] == misses[0]
+
+    def test_refinement_steps_every_bracket_together(self, monkeypatch):
+        # one grid call, then one call per Illinois step of the slowest
+        # bracket, each covering every bracket still running
+        window = ScanWindow(41.7, 61.7, 0.05)
+        grid = window.grid()
+        values, _ = zeros._evaluate(grid)
+        brackets = [i for i in range(len(grid) - 1) if values[i] * values[i + 1] < 0.0]
+        calls = []
+        evaluate = zeros._evaluate
+
+        def counted(ts):
+            calls.append(len(ts))
+            return evaluate(ts)
+        monkeypatch.setattr(zeros, "_evaluate", counted)
+        steps = []
+        for i in brackets:
+            calls.clear()
+            refine_zero(grid[i], grid[i + 1], z_lo=values[i], z_hi=values[i + 1])
+            steps.append(len(calls))
+        calls.clear()
+        records = scan_zeros(window)
+        assert len(records) == len(brackets) == 7
+        assert calls[0] == len(grid) and calls[1] == len(brackets)
+        assert calls[1:] == sorted(calls[1:], reverse=True)
+        assert len(calls) == 1 + max(steps) <= 10
+
+    @pytest.mark.parametrize("t_min,t_max", [(41.7, 61.7), (4990.0, 4992.0)])
+    def test_scan_equals_refining_each_bracket(self, t_min, t_max):
+        # lockstep refinement keeps each bracket's own iterates: every zero is
+        # bit for bit what refine_zero gives on its bracket alone, also where
+        # the series (about 4480 terms near t = 4990) spans two chunks
+        window = ScanWindow(t_min, t_max, 0.05)
+        grid = window.grid()
+        values, _ = zeros._evaluate(grid)
+        alone = [refine_zero(grid[i], grid[i + 1], z_lo=values[i], z_hi=values[i + 1])
+                 for i in range(len(grid) - 1) if values[i] * values[i + 1] < 0.0]
+        records = scan_zeros(window)
+        assert len(records) == len(alone) >= 2
+        assert [(r.ordinate.hex(), r.residual_mag.hex()) for r in records] == \
+            [(r.ordinate.hex(), r.residual_mag.hex()) for r in alone]
 
     def test_scan_is_deterministic(self, five_records):
         again = scan_zeros(ScanWindow(10.0, 35.0, 0.05))
@@ -180,6 +221,12 @@ class TestHardyZ:
     @pytest.mark.parametrize("t,expected", oracles.HARDY_Z_SAMPLES)
     def test_against_siegelz_oracle(self, t, expected):
         assert abs(hardy_z(t) - expected) <= 1e-10 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("t,expected", oracles.THETA_SAMPLES)
+    def test_theta_against_siegeltheta_oracle(self, t, expected):
+        # 1e-12, plus half an ulp of theta: at t = 10000.3 the double nearest
+        # theta is itself 1.1e-12 away from it
+        assert abs(zeros._theta(t) - expected) <= 1e-12 + 0.5 * math.ulp(expected)
 
     def test_grid_and_one_point_calls_agree_bit_for_bit(self):
         # the scan grid is one batched call and refinement calls one ordinate
