@@ -45,6 +45,7 @@ from .series import (
     identity_residual_regularized,
     zeta_hat_eta,
     zeta_hat_eta_batch,
+    zeta_hat_eta_values,
     zeta_hat_regularized,
     zeta_hat_regularized_schedule,
     zeta_partial,
@@ -109,6 +110,7 @@ __all__ = [
     "tail_count",
     "zeta_hat_eta",
     "zeta_hat_eta_batch",
+    "zeta_hat_eta_values",
     "zeta_hat_regularized",
     "zeta_hat_regularized_schedule",
     "zeta_partial",

@@ -48,7 +48,7 @@ from .experiments import (
 )
 from .functional_equation import functional_equation_residual
 from .reporting import atomic_write_text, csv_text, format_float, json_dumps
-from .series import eta_partial, partial_sums, zeta_hat_eta, zeta_hat_regularized, zeta_partial
+from .series import partial_sums, zeta_hat_eta
 from .zeros import (
     DEFAULT_TOLERANCE,
     ScanWindow,
@@ -142,26 +142,23 @@ def cmd_eval(args) -> int:
     results: dict = {}
     failures: list[str] = []
 
-    def attempt(name, fn):
-        try:
-            results[name] = fn()
-        except (ZetaLabError, OverflowError) as exc:
-            results[name] = {"error": type(exc).__name__, "detail": str(exc)}
-            failures.append(type(exc).__name__)
+    def record(name, value):
+        if isinstance(value, Exception):
+            failures.append(type(value).__name__)
+            value = {"error": type(value).__name__, "detail": str(value)}
+        results[name] = value
 
-    # the three plain sums come from one term pass; where it, or the
-    # regularization, cannot be taken, each function is called for its error
+    # the three plain sums come from one term pass
     try:
         sums = partial_sums(z, args.n)
-    except OverflowError:
-        sums = (None, None, None)
-    for name, fn, value in zip(("zeta_partial", "eta_partial", "zeta_hat_regularized"),
-                               (zeta_partial, eta_partial, zeta_hat_regularized), sums):
-        if value is None:
-            attempt(name, functools.partial(fn, z, args.n))
-        else:
-            results[name] = value
-    attempt("zeta_hat_eta", lambda: asdict(zeta_hat_eta(z)))
+    except OverflowError as exc:
+        sums = (exc, exc, exc)
+    for name, value in zip(("zeta_partial", "eta_partial", "zeta_hat_regularized"), sums):
+        record(name, value)
+    try:
+        record("zeta_hat_eta", asdict(zeta_hat_eta(z)))
+    except (ZetaLabError, OverflowError) as exc:
+        record("zeta_hat_eta", exc)
 
     if args.format == "text":
         lines = [f"z = {format_complex_flag(z)}"]

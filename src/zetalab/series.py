@@ -96,14 +96,20 @@ _BLOCK_ENTRIES = 1 << 12
 #: 0.6 s and 70 MB of peak memory (Python 3.11 on a Xeon core).
 BORWEIN_BUDGET = 1 << 14
 
-# The Lanczos sum of ``special_functions`` at z + 1, c_0 + sum_k c_k / (z + k)
-# for k = 1..14, and the shifts of log Gamma(z+1), as complex arrays: numpy
-# combines them with a complex array faster than it does a Python float.
-_LANCZOS_K = np.arange(1.0, len(_LANCZOS_COEFFS), dtype=complex)
-_LANCZOS_C = np.array(_LANCZOS_COEFFS[1:], dtype=complex)
 _LANCZOS_C0 = complex(_LANCZOS_COEFFS[0])
-_LANCZOS_SHIFT = np.array([_LANCZOS_G + 0.5], dtype=complex)
-_HALF = np.array([0.5], dtype=complex)
+
+
+@functools.cache
+def _lanczos_arrays() -> tuple[np.ndarray, ...]:
+    """k = 1..14 and c_k of the Lanczos sum c_0 + sum_k c_k / (z + k) of
+    ``special_functions`` at z + 1, and the shifts g + 1/2 and 1/2 of log
+    Gamma(z+1), as complex arrays: numpy combines them with a complex array
+    faster than it does a Python float.  Made on first use, so that a
+    process that sums no Borwein series does not make them."""
+    return (np.arange(1.0, len(_LANCZOS_COEFFS), dtype=complex),
+            np.array(_LANCZOS_COEFFS[1:], dtype=complex),
+            np.array([_LANCZOS_G + 0.5], dtype=complex), np.array([0.5], dtype=complex))
+
 
 #: Points per block of the Lanczos sum, whose 14 terms per point then take
 #: at most 224 KB at once.
@@ -147,74 +153,74 @@ def mirror_is_conjugate(z: complex) -> bool:
     return z.real == 0.5 and z.imag != 0.0
 
 
-def _partial_sums(z, marks=(), alternating=(), weights=None) -> tuple[list, list]:
+class _Stream:
+    """Partial sums of some rows of a term pass, taken at their marks.
+
+    ``marks`` are strictly increasing truncation indices; ``weights``, if
+    given, is a read-only array of factors for k = 1..marks[-1], indexed by
+    k - 1; ``alternating`` negates the even terms; ``rows`` picks the rows of
+    the term matrix (all of them by default).  ``sums`` collects the
+    extended-precision sum at each mark, one value per row, and ``carry`` is
+    the sum of the whole chunks taken so far.
+    """
+
+    __slots__ = ("marks", "weights", "alternating", "rows", "sums", "carry")
+
+    def __init__(self, marks, weights=None, alternating=False, rows=Ellipsis):
+        self.marks = marks
+        self.weights = weights
+        self.alternating = alternating
+        self.rows = rows
+        self.sums = []
+        self.carry = _ZERO
+
+    def take(self, terms: np.ndarray, k0: int, k1: int) -> None:
+        """Take the chunk of ``terms`` for k = k0..k1-1 into the sums.
+
+        The weights and signs are applied to the chunk in place.
+        """
+        marks, sums = self.marks, self.sums
+        block = terms[self.rows, :min(marks[-1], k1 - 1) - k0 + 1]
+        if self.weights is not None:
+            block *= self.weights[k0 - 1:k0 - 1 + block.shape[-1]]
+        if self.alternating:
+            block[..., 1::2] *= -1.0  # the even k: every chunk starts at an odd k
+        # a mark inside the chunk or at its end sums its own part of it
+        while len(sums) < len(marks) and marks[len(sums)] < k1:
+            sums.append(self.carry + np.add.reduce(block[..., :marks[len(sums)] - k0 + 1],
+                                                   axis=-1, dtype=_LD))
+        if len(sums) < len(marks):
+            # the stream goes on: a mark at the chunk's end is the new carry
+            self.carry = (sums[-1] if sums and marks[len(sums) - 1] == k1 - 1
+                          else self.carry + np.add.reduce(block, axis=-1, dtype=_LD))
+
+
+def _partial_sums(z, *streams: _Stream) -> list[list]:
     """Stream the partial sums of k^(-z) from one term pass.
 
-    ``z`` is one point or a 1-D array of points, one row each.  Every row is
-    summed at the sorted ``marks`` (the plain stream, sum k^(-z)) and at the
-    sorted ``alternating`` marks (sum (-1)^(k-1) k^(-z)); the alternating
-    stream negates the even terms of a chunk once its plain sums are taken.
-    Returns (plain, alternating): the extended-precision sums at each mark,
-    each of the shape of ``z``.
-
-    With ``weights``, one read-only array per row of ``z``, row r is instead
-    summed to len(weights[r]) terms, the k-th multiplied by weights[r][k-1],
-    and plain is the one array of row sums.  The terms of all rows come from
-    one matrix per chunk, as wide as the longest row; neighbouring rows that
-    share their weights array are reduced together.
+    ``z`` is one point or a 1-D array of points, one row each of the term
+    matrix exp(-z ln k), which is made chunk by chunk, as wide as the
+    longest stream.  Returns the ``sums`` of each stream.  Streams over the
+    same rows are taken in order and change the chunk in place, so a plain
+    stream goes before an alternating one, and a weighted one has its rows
+    to itself.
 
     The sum at mark m is the total of the whole chunks before it, added
     chunk by chunk, plus one pairwise sum of its own chunk up to m; no
     prefix sums are formed.  Every row is summed on its own, so its sums
     depend only on the point, its weights and m, not on the other rows,
-    their lengths or the other marks.
+    streams or marks.
     """
     rows = np.asarray(z, dtype=complex)[..., np.newaxis]
-    # runs of neighbouring rows that share their weights and marks: (rows,
-    # weights, last mark, streams), and per stream [marks, sums, carry,
-    # whether alternating]
-    if weights is None:
-        n = max(marks[-1:] + alternating[-1:])
-        runs = [(Ellipsis, None, n,
-                 [[m, [], _ZERO, alt] for m, alt in ((marks, False), (alternating, True)) if m])]
-    else:
-        runs, start, n = [], 0, 0
-        for r in range(1, len(weights) + 1):
-            if r == len(weights) or weights[r] is not weights[start]:
-                end = len(weights[start])
-                runs.append((slice(start, r), weights[start], end, [[(end,), [], _ZERO, False]]))
-                start, n = r, max(n, end)
+    n = max(stream.marks[-1] for stream in streams)
     for k0 in range(1, n + 1, _CHUNK):
         k1 = min(k0 + _CHUNK, n + 1)
         log_k = _first_logs()[:k1 - 1] if k0 == 1 else np.log(np.arange(k0, k1, dtype=float))
         terms = np.exp(-rows * log_k)
-        for run_rows, w, end, streams in runs:
-            if end < k0:
-                continue
-            block = terms[run_rows, :min(end, k1 - 1) - k0 + 1]
-            if w is not None:
-                block *= w[k0 - 1:k0 - 1 + block.shape[-1]]
-            for stream in streams:
-                stream_marks, values, carry, alt = stream
-                taken = len(values)
-                if taken == len(stream_marks):
-                    continue
-                if alt:
-                    block[..., k0 % 2::2] *= -1.0  # the even k
-                # a mark inside the chunk or at its end sums its own part of it
-                while taken < len(stream_marks) and stream_marks[taken] < k1:
-                    values.append(carry + np.add.reduce(
-                        block[..., :stream_marks[taken] - k0 + 1], axis=-1, dtype=_LD))
-                    taken += 1
-                if taken < len(stream_marks):
-                    # the stream goes on: a mark at the chunk's end is the new carry
-                    stream[2] = (values[-1] if taken and stream_marks[taken - 1] == k1 - 1
-                                 else carry + np.add.reduce(block, axis=-1, dtype=_LD))
-    if weights is not None:
-        sums = [streams[0][1][0] for *_, streams in runs]
-        return [sums[0] if len(sums) == 1 else np.concatenate(sums)], []
-    sums = {alt: values for _, values, _, alt in runs[0][3]}
-    return sums.get(False, []), sums.get(True, [])
+        for stream in streams:
+            if stream.marks[-1] >= k0:
+                stream.take(terms, k0, k1)
+    return [stream.sums for stream in streams]
 
 
 @functools.cache
@@ -262,7 +268,7 @@ def zeta_partial(z: complex, n: int) -> complex:
     z = _require_finite(z)
     n = _require_n(n)
     _check_overflow(z, n)
-    (value,), _ = _partial_sums(z, (n,))
+    ((value,),) = _partial_sums(z, _Stream((n,)))
     return complex(value)
 
 
@@ -271,7 +277,7 @@ def eta_partial(z: complex, n: int) -> complex:
     z = _require_finite(z)
     n = _require_n(n)
     _check_overflow(z, n)
-    _, (value,) = _partial_sums(z, alternating=(n,))
+    ((value,),) = _partial_sums(z, _Stream((n,), alternating=True))
     return complex(value)
 
 
@@ -287,19 +293,24 @@ def _regularized(z: complex, n: int, plain) -> complex:
     return complex(plain - np.exp(one_minus_z * np.log(_RD(n))) / one_minus_z)
 
 
-def partial_sums(z: complex, n: int) -> tuple[complex, complex, complex | None]:
+def partial_sums(z: complex, n: int) -> tuple[complex, complex, complex | SingularityError]:
     """(zeta_n(z), xi_n(z), zhat_n(z)) from one term pass.
 
     Each value is bit for bit what ``zeta_partial``, ``eta_partial`` and
-    ``zeta_hat_regularized`` return; zhat_n is taken from the plain stream,
-    and is None within ``GUARD_RADIUS`` of z = 1, where
-    ``zeta_hat_regularized`` raises SingularityError.
+    ``zeta_hat_regularized`` return; zhat_n is taken from the plain stream.
+    Within ``GUARD_RADIUS`` of z = 1 zhat_n is the SingularityError that
+    ``zeta_hat_regularized`` raises there, returned so that the other two
+    sums are not lost.  Raises what ``zeta_partial`` raises.
     """
     z = _require_finite(z)
     n = _require_n(n)
     _check_overflow(z, n)
-    (plain,), (alternating,) = _partial_sums(z, (n,), alternating=(n,))
-    regularized = None if abs(z - 1.0) <= GUARD_RADIUS else _regularized(z, n, plain)
+    (plain,), (alternating,) = _partial_sums(z, _Stream((n,)), _Stream((n,), alternating=True))
+    try:
+        _require_regular(z)
+        regularized = _regularized(z, n, plain)
+    except SingularityError as exc:
+        regularized = exc
     return complex(plain), complex(alternating), regularized
 
 
@@ -328,7 +339,7 @@ def zeta_hat_regularized_schedule(z: complex, marks: list[int]) -> list[complex]
         raise ValueError(f"marks must be strictly increasing and >= 1, got {marks!r}")
     _require_regular(z)
     _check_overflow(z, marks[-1])
-    values, _ = _partial_sums(z, tuple(marks))
+    (values,) = _partial_sums(z, _Stream(tuple(marks)))
     return [_regularized(z, m, s) for m, s in zip(marks, values)]
 
 
@@ -356,28 +367,29 @@ def _borwein_lengths(z: np.ndarray, prefactor: np.ndarray,
     ``special_functions.log_gamma``, taken on the whole array:
     ln(2 pi)/2 + (z + 1/2) log t - t + log acc, with t = z + g + 1/2.
     """
+    k, c, shift, half = _lanczos_arrays()
     acc = np.empty(len(z), dtype=complex)
     for r in range(0, len(z), _LANCZOS_ROWS):
-        terms = z[r:r + _LANCZOS_ROWS, np.newaxis] + _LANCZOS_K
-        np.add.reduce(np.divide(_LANCZOS_C, terms, out=terms), axis=-1, initial=_LANCZOS_C0,
+        terms = z[r:r + _LANCZOS_ROWS, np.newaxis] + k
+        np.add.reduce(np.divide(c, terms, out=terms), axis=-1, initial=_LANCZOS_C0,
                       out=acc[r:r + _LANCZOS_ROWS])
-    t = z + _LANCZOS_SHIFT
-    log_scale = (np.log(z / (acc * prefactor)) - np.log(t) * (z + _HALF) + t).real + np.array(
+    t = z + shift
+    log_scale = (np.log(z / (acc * prefactor)) - np.log(t) * (z + half) + t).real + np.array(
         [math.lgamma(s) + _LN_SCALE_CONSTANT for s in sigma])
     return np.maximum(np.ceil(log_scale / _LN_BORWEIN_RATE), 1.0), log_scale
 
 
 def _borwein_sums(points: Iterable[complex]):
-    """(z, prefactor, value, n, log scale of ``_borwein_lengths``), one entry per point.
+    """(value, z, prefactor, n, log scale of ``_borwein_lengths``), as arrays over the points.
 
-    The inner path of ``zeta_hat_eta_batch``: the checks and the Borwein
-    lengths are array passes, while the prefactor 1 - 2^(1-z) is Python's
-    complex power per point, so that each value is bit for bit the
-    one-point value, and is guarded with Python's abs as it is made.  The
-    points are cut, in their order, into blocks of at most
-    ``_BLOCK_ENTRIES`` terms; each block is one ``_partial_sums`` pass whose
-    rows carry their own pre-signed weights.  The first invalid point raises
-    what ``zeta_hat_eta`` raises there.
+    The inner path of ``zeta_hat_eta_batch`` and ``zeta_hat_eta_values``:
+    the checks and the Borwein lengths are array passes, while the
+    prefactor 1 - 2^(1-z) is Python's complex power per point, so that each
+    value is bit for bit the one-point value, and is guarded with Python's
+    abs as it is made.  The points are cut, in their order, into blocks of
+    at most ``_BLOCK_ENTRIES`` terms; each block is one ``_partial_sums``
+    pass with one weighted stream per run of rows of one length.  The first
+    invalid point raises what ``zeta_hat_eta`` raises there.
     """
     z = np.fromiter(points, dtype=complex)
     sigma = z.real.tolist()
@@ -388,13 +400,16 @@ def _borwein_sums(points: Iterable[complex]):
         _refuse(z)
     prefactor = np.array(prefactor, dtype=complex)
     n, log_scale = _borwein_lengths(z, prefactor, sigma)
+    lengths = n.tolist()
+    # checked as floats, as a length past int64 does not survive the cast;
+    # the max finds a length over the budget, the sum a nan one
+    if not (max(lengths, default=0.0) <= BORWEIN_BUDGET and sum(lengths) < math.inf):
+        _refuse(z)
     n = n.astype(np.int64)
     lengths = n.tolist()
-    if max(lengths, default=0) > BORWEIN_BUDGET:
-        _refuse(z)
-
     if not lengths:
-        return z, prefactor, z, n, log_scale
+        return z, z, prefactor, n, log_scale
+
     xi = []
     b0 = 0
     while b0 < len(lengths):
@@ -404,12 +419,17 @@ def _borwein_sums(points: Iterable[complex]):
             if (b1 + 1 - b0) * wider > _BLOCK_ENTRIES:
                 break
             b1, width = b1 + 1, wider
-        (block,), _ = _partial_sums(z[b0:b1],
-                                    weights=[_borwein_weights(k) for k in lengths[b0:b1]])
-        xi.append(block)
+        streams, r0 = [], b0
+        for r in range(b0 + 1, b1 + 1):
+            if r == b1 or lengths[r] != lengths[r0]:
+                streams.append(_Stream((lengths[r0],), _borwein_weights(lengths[r0]),
+                                       rows=slice(r0 - b0, r - b0)))
+                r0 = r
+        _partial_sums(z[b0:b1], *streams)
+        xi += [stream.sums[0] for stream in streams]
         b0 = b1
-    value = ((xi[0] if len(xi) == 1 else np.concatenate(xi)) / prefactor).astype(complex)
-    return z, prefactor, value, n, log_scale
+    xi = xi[0] if len(xi) == 1 else np.concatenate(xi)
+    return (xi / prefactor).astype(complex), z, prefactor, n, log_scale
 
 
 def _refuse(z: np.ndarray) -> NoReturn:
@@ -419,10 +439,11 @@ def _refuse(z: np.ndarray) -> NoReturn:
         if w.real <= 0.0:
             raise DomainError(f"alternating-series evaluation requires Re z > 0, got {w!r}")
         prefactor = _eta_prefactor(w)
-        (n,), _ = _borwein_lengths(np.array([w]), np.array([prefactor]), [w.real])
-        if n > BORWEIN_BUDGET:
-            raise BudgetError(f"zeta_hat_eta at z={w!r} needs a Borwein series of "
-                              f"{int(n)} terms, above the budget {BORWEIN_BUDGET}")
+        ((n,), _) = _borwein_lengths(np.array([w]), np.array([prefactor]), [w.real])
+        if not n <= BORWEIN_BUDGET:
+            terms = f"{n:.0f} terms" if math.isfinite(n) else "more terms than a float holds"
+            raise BudgetError(f"zeta_hat_eta at z={w!r} needs a Borwein series of {terms}, "
+                              f"above the budget {BORWEIN_BUDGET}")
     raise AssertionError("no invalid point")
 
 
@@ -449,12 +470,22 @@ def zeta_hat_eta_batch(points: Iterable[complex]) -> list[SeriesValue]:
     points.  The first invalid point raises what ``zeta_hat_eta`` raises
     there.
     """
-    z, prefactor, value, n, log_scale = _borwein_sums(points)
+    value, z, prefactor, n, log_scale = _borwein_sums(points)
     # the truncation bound is 2^-52 exp(log_scale) / (3 + sqrt 8)^n
     return [SeriesValue(v, k, _EPS * math.exp(s - k * _LN_BORWEIN_RATE)
                         + _rounding_bound(zi, pi, v, k))
             for zi, pi, v, k, s in zip(z.tolist(), prefactor.tolist(), value.tolist(),
                                         n.tolist(), log_scale.tolist())]
+
+
+def zeta_hat_eta_values(points: Iterable[complex]) -> list[complex]:
+    """The values of ``zeta_hat_eta_batch(points)``, without their error bounds.
+
+    The zero scan's evaluation: the same passes, bit for bit the same values
+    and the same errors, but no ``SeriesValue`` and no rounding bound per
+    point.
+    """
+    return _borwein_sums(points)[0].tolist()
 
 
 def _rounding_bound(z: complex, prefactor: complex, value: complex, n: int) -> float:
@@ -487,7 +518,8 @@ def identity_residual_plain(z: complex, n: int) -> float:
     z = _require_finite(z)
     n = _require_n(n)
     _check_overflow(z, 2 * n)
-    (zeta_n, zeta_2n), (xi,) = _partial_sums(z, (n, 2 * n), alternating=(2 * n,))
+    (zeta_n, zeta_2n), (xi,) = _partial_sums(z, _Stream((n, 2 * n)),
+                                             _Stream((2 * n,), alternating=True))
     rhs = complex(zeta_2n) - 2.0 ** (1.0 - z) * complex(zeta_n)
     return abs(complex(xi) - rhs)
 
@@ -503,6 +535,7 @@ def identity_residual_regularized(z: complex, n: int) -> float:
     n = _require_n(n)
     _require_regular(z)
     _check_overflow(z, 2 * n)
-    (zeta_n, zeta_2n), (xi,) = _partial_sums(z, (n, 2 * n), alternating=(2 * n,))
+    (zeta_n, zeta_2n), (xi,) = _partial_sums(z, _Stream((n, 2 * n)),
+                                             _Stream((2 * n,), alternating=True))
     rhs = _regularized(z, 2 * n, zeta_2n) - 2.0 ** (1.0 - z) * _regularized(z, n, zeta_n)
     return abs(complex(xi) - rhs)

@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
     WindowTooCoarse,
 )
-from .series import _borwein_sums
+from .series import zeta_hat_eta_values
 from .special_functions import LN_PI, _lanczos_log_gamma
 
 #: Scan steps above this risk skipping zeros below t = 100: two zeros inside
@@ -154,7 +154,7 @@ def _evaluate(ts: list[float]) -> tuple[list[float], list[float]]:
     depends on its ordinate only, so the scan grid and each refinement step,
     which call this, evaluate the same function.
     """
-    values = _borwein_sums(complex(0.5, t) for t in ts)[2].tolist()
+    values = zeta_hat_eta_values(complex(0.5, t) for t in ts)
     return ([(cmath.exp(1j * _theta(t)) * v).real for t, v in zip(ts, values)],
             [abs(v) for v in values])
 

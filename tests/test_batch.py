@@ -71,9 +71,10 @@ class TestBatchEqualsScalar:
         # fit in _BLOCK_ENTRIES terms, each row as wide as the block's widest
         blocks = []
 
-        def spy(z, *args, weights=None, **kwargs):
-            blocks.append([len(w) for w in weights])
-            return partial_sums(z, *args, weights=weights, **kwargs)
+        def spy(z, *streams):
+            # each stream is a run of rows of one length
+            blocks.append([len(s.weights) for s in streams for _ in z[s.rows]])
+            return partial_sums(z, *streams)
 
         partial_sums = series._partial_sums
         monkeypatch.setattr(series, "_partial_sums", spy)

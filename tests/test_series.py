@@ -20,7 +20,7 @@ from zetalab import (
 )
 
 from zetalab import cli, series
-from zetalab.series import BORWEIN_BUDGET, _partial_sums
+from zetalab.series import BORWEIN_BUDGET, _partial_sums, _Stream
 
 import oracles
 
@@ -140,7 +140,7 @@ class TestZetaHatEtaLongSums:
         for k in (1 << 19, (1 << 19) + 3):
             weights = np.zeros(n)
             weights[k - 1] = (-1) ** (k - 1)
-            (value,), _ = _partial_sums([z], weights=[weights])
+            ((value,),) = _partial_sums([z], _Stream((n,), weights))
             expected = (-1) ** (k - 1) * k ** -z
             assert abs(complex(value[0]) - expected) <= 1e-12 * abs(expected), k
 
@@ -148,8 +148,8 @@ class TestZetaHatEtaLongSums:
 class TestAccumulator:
     @staticmethod
     def stream(z, marks, alternating):
-        plain, alt = _partial_sums(z, **{"alternating" if alternating else "marks": marks})
-        return alt if alternating else plain
+        (sums,) = _partial_sums(z, _Stream(marks, alternating=alternating))
+        return sums
 
     @pytest.mark.parametrize("alternating", [False, True])
     def test_sum_at_a_mark_does_not_depend_on_other_marks(self, alternating):
@@ -172,7 +172,7 @@ class TestAccumulator:
         # own marks, equal single-stream passes, sign of zero included
         chunk = series._CHUNK
         plain_marks, alt_marks = (7, chunk, 2 * chunk + 3), (chunk - 1, 2 * chunk + 3)
-        plain, alt = _partial_sums(z, plain_marks, alternating=alt_marks)
+        plain, alt = _partial_sums(z, _Stream(plain_marks), _Stream(alt_marks, alternating=True))
         for both, alone in ((plain, self.stream(z, plain_marks, False)),
                             (alt, self.stream(z, alt_marks, True))):
             assert [(v.real.hex(), v.imag.hex()) for v in map(complex, both)] == \
@@ -182,10 +182,12 @@ class TestAccumulator:
         # one term matrix for rows of 100, 4095 and 4200 terms: each row's sum
         # is the sum it has alone, and the short rows stop at their own n
         z = np.array([0.5 + 300.0j, 0.3 + 20.0j, 0.5 + 4600.0j, 0.5 + 4601.0j])
-        weights = [series._borwein_weights(n) for n in (100, 4095, 4200, 4200)]
-        (rows,), _ = _partial_sums(z, weights=weights)
-        for zi, w, row in zip(z, weights, rows):
-            (alone,), _ = _partial_sums([zi], weights=[w])
+        lengths = (100, 4095, 4200, 4200)
+        streams = [_Stream((n,), series._borwein_weights(n), rows=rows)
+                   for n, rows in zip(lengths, (slice(0, 1), slice(1, 2), slice(2, 4)))]
+        rows = np.concatenate([sums for (sums,) in _partial_sums(z, *streams)])
+        for zi, n, row in zip(z, lengths, rows):
+            ((alone,),) = _partial_sums([zi], _Stream((n,), series._borwein_weights(n)))
             assert (row.real, row.imag) == (alone[0].real, alone[0].imag)
 
     @pytest.mark.parametrize("z", [complex(0.05, 3.0), complex(0.5, 14.134725141734693),
@@ -196,7 +198,7 @@ class TestAccumulator:
         # a running sum of the 2^20 terms was 0.8 * 2^-58 sum |t_k| off at
         # 0.05+3i, one ulp once rounded to double
         n = 1 << 20
-        (value,), _ = _partial_sums(z, (n,))
+        ((value,),) = _partial_sums(z, _Stream((n,)))
         terms = np.exp(-z * np.log(np.arange(1.0, n + 1.0)))
         bound = 2.0 ** -60 * float(np.abs(terms).sum())
         for got, part in ((value.real, terms.real), (value.imag, terms.imag)):
@@ -275,6 +277,15 @@ class TestBorweinBudget:
         assert built.value.args == (BORWEIN_BUDGET,)
         with pytest.raises(BudgetError, match=str(BORWEIN_BUDGET + 1)):
             zeta_hat_eta(complex(0.5, t_hi))
+
+    @pytest.mark.parametrize("t", [1e20, -1e20, 1.7e308])
+    def test_lengths_past_int64_are_refused(self, t):
+        # about 8.9e19 terms at 1e20, past the range of the int64 lengths;
+        # the length at 1.7e308 overflows to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            for points in ([complex(0.5, t)], [complex(0.5, 20.0), complex(0.5, t)]):
+                with pytest.raises(BudgetError, match="above the budget"):
+                    series.zeta_hat_eta_batch(points)
 
     def test_refused_before_any_weight_is_built(self):
         # the point within budget comes first, and its weights are not built

@@ -20,7 +20,7 @@ from zetalab import (
     zeta_hat_eta,
 )
 from zetalab import zeros
-from zetalab.series import _borwein_weights, _partial_sums
+from zetalab.series import _borwein_weights, _partial_sums, _Stream
 from zetalab.zeros import ZeroRecord
 
 import oracles
@@ -86,7 +86,7 @@ class TestScan:
         for record in five_records:
             rho = complex(0.5, record.ordinate)
             n = 2 * zeta_hat_eta(rho).n_used
-            (xi,), _ = _partial_sums([rho], weights=[_borwein_weights(n)])
+            ((xi,),) = _partial_sums([rho], _Stream((n,), _borwein_weights(n)))
             assert abs(complex(xi[0]) / (1.0 - 2.0 ** (1.0 - rho))) <= 1e-8
 
     def test_reflected_point_also_vanishes(self, five_records):
