@@ -50,7 +50,6 @@ from .special_functions import (
 
 _LD = np.clongdouble
 _RD = np.longdouble
-_ZERO = _LD(0.0)
 
 
 def _require_extended_precision(finfo: np.finfo) -> None:
@@ -172,7 +171,7 @@ class _Stream:
         self.alternating = alternating
         self.rows = rows
         self.sums = []
-        self.carry = _ZERO
+        self.carry = _LD(0.0)
 
     def take(self, terms: np.ndarray, k0: int, k1: int) -> None:
         """Take the chunk of ``terms`` for k = k0..k1-1 into the sums.

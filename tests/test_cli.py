@@ -635,26 +635,25 @@ class TestBorweinBudget:
             pytest.fail(f"Borwein weights of length {n} were built")
         monkeypatch.setattr(series, "_borwein_weights", refuse)
 
-    # 1e20: a length of about 8.9e19 terms, past the range of int64
-    @pytest.mark.parametrize("t", ["1000000", "1e20"])
-    def test_eval_reports_it_per_value(self, capsys, t):
-        code, out, err = run_cli(["eval", "--z", f"0.5+{t}i"], capsys)
-        assert code == 1
-        results = json.loads(out)["results"]
-        assert results["zeta_hat_eta"]["error"] == "BudgetError"
-        assert all("re" in results[name]
-                   for name in ("zeta_partial", "eta_partial", "zeta_hat_regularized"))
-        assert "BudgetError" in err
+    def test_eval_reports_it_per_value(self, capsys):
+        # 1e20 needs about 8.9e19 terms, past the range of int64
+        for t in ("1000000", "1e20"):
+            code, out, err = run_cli(["eval", "--z", f"0.5+{t}i"], capsys)
+            assert code == 1
+            results = json.loads(out)["results"]
+            assert results["zeta_hat_eta"]["error"] == "BudgetError"
+            assert all("re" in results[name]
+                       for name in ("zeta_partial", "eta_partial", "zeta_hat_regularized"))
+            assert "BudgetError" in err
 
-    # the grid near 1e20 is 32768 steps within one ulp, 16384, so it rounds
-    # to 2 distinct points
-    @pytest.mark.parametrize("window", [["--tmin", "1000000", "--tmax", "1000001"],
-                                        ["--tmin", "1e20", "--tmax", "100000000000000016384",
-                                         "--step", "0.5"]])
-    def test_zeros_is_usage_error(self, capsys, window):
-        code, _, err = run_cli(["zeros", *window], capsys)
-        assert code == 2
-        assert "BudgetError" in err
+    def test_zeros_is_usage_error(self, capsys):
+        # the grid near 1e20 is 32768 steps within one ulp, 16384, so it
+        # rounds to 2 distinct points, each past the range of int64 in length
+        for window in (["--tmin", "1000000", "--tmax", "1000001"],
+                       ["--tmin", "1e20", "--tmax", "100000000000000016384", "--step", "0.5"]):
+            code, _, err = run_cli(["zeros", *window], capsys)
+            assert code == 2
+            assert "BudgetError" in err
 
 
 class TestDeterminism:
