@@ -44,8 +44,6 @@ from .series import (
     identity_residual_plain,
     identity_residual_regularized,
     zeta_hat_eta,
-    zeta_hat_eta_batch,
-    zeta_hat_eta_values,
     zeta_hat_regularized,
     zeta_hat_regularized_schedule,
     zeta_partial,
@@ -109,8 +107,6 @@ __all__ = [
     "scan_zeros",
     "tail_count",
     "zeta_hat_eta",
-    "zeta_hat_eta_batch",
-    "zeta_hat_eta_values",
     "zeta_hat_regularized",
     "zeta_hat_regularized_schedule",
     "zeta_partial",

@@ -24,29 +24,22 @@ only on the point and on m, results are deterministic, and accumulation
 noise stays far below the 1e-10 identity budget even for n = 10^4 sums of
 O(10^4) magnitude near the edge of the strip.  The plain and the alternating
 stream of a point come from one term array.  Public values are IEEE doubles.
-``zeta_hat_eta_batch`` sums many points in array passes, each point in its
-own row of one term matrix per block; ``zeta_hat_eta`` is its one-point case.
+``zeta_hat_eta`` sums one point at its own Borwein length.  On the critical
+line, ``zeta_hat_eta_line`` sums many ordinates at one length n, each in its
+own row of one term matrix per block; ``line_length`` gives the n that serves
+every ordinate up to a given |t|, so a zero scan needs one weight vector.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
 from .errors import BudgetError, DomainError, PrefactorSingularityError, SingularityError
-from .special_functions import (
-    GUARD_RADIUS,
-    LN_2,
-    LN_2PI,
-    _LANCZOS_COEFFS,
-    _LANCZOS_G,
-    _require_finite,
-)
+from .special_functions import GUARD_RADIUS, LN_2, _require_finite, log_gamma
 
 _LD = np.clongdouble
 _RD = np.longdouble
@@ -80,14 +73,14 @@ _LN_BORWEIN_RATE = math.log(3.0 + math.sqrt(8.0))
 _EPS = 2.0 ** -52
 _LN_EPS = math.log(_EPS)
 
-# ln 2 - ln(2 pi)/2 - ln 2^-52, the constant part of ``_borwein_lengths``'
-# log scale
-_LN_SCALE_CONSTANT = LN_2 - 0.5 * LN_2PI - _LN_EPS
+# the constant parts of ``_log_scale`` and of ``line_length``'s log scale
+_LN_SCALE_CONSTANT = LN_2 - _LN_EPS
+_LN_LINE_SCALE = _LN_SCALE_CONSTANT - math.log(math.sqrt(2.0) - 1.0)
 
-#: Points x terms per block of a batched Borwein pass: the rows of a block
-#: share one term matrix of at most 64 KB (16 bytes an entry), as wide as its
-#: longest row.  The 401-point scan grid of [41.7, 61.7] takes 7 blocks of
-#: 40 to 66 rows; a series of 4096 terms or more fills a block alone.
+#: Ordinates x terms per block of ``zeta_hat_eta_line``: the rows of a block
+#: share one term matrix of at most 64 KB (16 bytes an entry).  The 401-point
+#: scan grid of [41.7, 61.7] (n = 77) takes 8 blocks of up to 53 rows; a
+#: series of 4096 terms or more fills a block alone.
 _BLOCK_ENTRIES = 1 << 12
 
 #: Longest Borwein series accepted.  Its weights are n exact integers of O(n)
@@ -95,27 +88,6 @@ _BLOCK_ENTRIES = 1 << 12
 #: to about 1.8e4 in the strip, and one cold build of its weights takes about
 #: 0.6 s and 70 MB of peak memory (Python 3.11 on a Xeon core).
 BORWEIN_BUDGET = 1 << 14
-
-_LANCZOS_C0 = complex(_LANCZOS_COEFFS[0])
-
-
-@functools.cache
-def _lanczos_arrays() -> tuple[np.ndarray, ...]:
-    """k = 1..14 and c_k of the Lanczos sum c_0 + sum_k c_k / (z + k) of
-    ``special_functions`` at z + 1, and the shifts g + 1/2 and 1/2 of log
-    Gamma(z+1), as complex arrays, then ln(3 + sqrt 8) and 1 as real ones:
-    numpy combines an array with a one-element array faster than with a
-    Python float, by about 0.3 µs a call.  Made on first use, so that a
-    process that sums no Borwein series does not make them."""
-    return (np.arange(1.0, len(_LANCZOS_COEFFS), dtype=complex),
-            np.array(_LANCZOS_COEFFS[1:], dtype=complex),
-            np.array([_LANCZOS_G + 0.5], dtype=complex), np.array([0.5], dtype=complex),
-            np.array([_LN_BORWEIN_RATE]), np.array([1.0]))
-
-
-#: Points per block of the Lanczos sum, whose 14 terms per point then take
-#: at most 224 KB at once.
-_LANCZOS_ROWS = 1 << 10
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,23 +128,21 @@ def mirror_is_conjugate(z: complex) -> bool:
 
 
 class _Stream:
-    """Partial sums of some rows of a term pass, taken at their marks.
+    """Partial sums of the rows of a term pass, taken at their marks.
 
     ``marks`` are strictly increasing truncation indices; ``weights``, if
     given, is a read-only array of factors for k = 1..marks[-1], indexed by
-    k - 1; ``alternating`` negates the even terms; ``rows`` picks the rows of
-    the term matrix (all of them by default).  ``sums`` collects the
+    k - 1; ``alternating`` negates the even terms.  ``sums`` collects the
     extended-precision sum at each mark, one value per row, and ``carry`` is
     the sum of the whole chunks taken so far.
     """
 
-    __slots__ = ("marks", "weights", "alternating", "rows", "sums", "carry")
+    __slots__ = ("marks", "weights", "alternating", "sums", "carry")
 
-    def __init__(self, marks, weights=None, alternating=False, rows=Ellipsis):
+    def __init__(self, marks, weights=None, alternating=False):
         self.marks = marks
         self.weights = weights
         self.alternating = alternating
-        self.rows = rows
         self.sums = []
         self.carry = _LD_ZERO
 
@@ -185,8 +155,7 @@ class _Stream:
         # the chunk is sliced only at the last mark, and its sums only at
         # the marks before it: a slice costs about 0.4 µs, on each of the
         # 256 chunks of a 2^20-term schedule and in every one-point call
-        block = (terms[self.rows] if marks[-1] >= k1 - 1
-                 else terms[self.rows, :marks[-1] - k0 + 1])
+        block = terms if marks[-1] >= k1 - 1 else terms[..., :marks[-1] - k0 + 1]
         if self.weights is not None:
             block *= self.weights[k0 - 1:k0 - 1 + block.shape[-1]]
         if self.alternating:
@@ -207,10 +176,9 @@ def _partial_sums(z, *streams: _Stream) -> list[list]:
 
     ``z`` is one point or a 1-D array of points, one row each of the term
     matrix exp(-z ln k), which is made chunk by chunk, as wide as the
-    longest stream.  Returns the ``sums`` of each stream.  Streams over the
-    same rows are taken in order and change the chunk in place, so a plain
-    stream goes before an alternating one, and a weighted one has its rows
-    to itself.
+    longest stream.  Returns the ``sums`` of each stream.  Streams are taken
+    in order and change the chunk in place, so a plain stream goes before an
+    alternating one, and a weighted one goes alone.
 
     The sum at mark m is the total of the whole chunks before it, added
     chunk by chunk, plus one pairwise sum of its own chunk up to m; no
@@ -244,9 +212,11 @@ def _borwein_weights(n: int) -> np.ndarray:
 
     d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!) are exact integers, so
     each e_k is one correctly rounded division; the alternating sign is
-    folded in, and the array is complex.  It is cached, so it is read-only;
-    the cache holds the ~20 lengths of a 20-wide zero-scan window several
-    times over, so refinement reuses the grid's weights.
+    folded in, and the array is complex.  It is cached, so it is read-only.
+    A zero scan needs one length; the cache serves the one-point calls of
+    ``zeta_hat_eta`` (``eval``, the residual grid, the ``errscan``
+    reference), whose length changes about every 1.1 in |Im z|, so that a
+    process that evaluates many points builds each length once.
     """
     summand, d = 1, [1]  # the i = 0 summand is d_0 = 1
     for i in range(1, n + 1):
@@ -360,100 +330,33 @@ def _eta_prefactor(z: complex) -> complex:
     return prefactor
 
 
-def _borwein_lengths(z: np.ndarray, prefactor: np.ndarray,
-                     sigma: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """(n, ln of the truncation bound over 2^-52 at n = 0) at each point.
+def _log_scale(z: complex, prefactor: complex) -> float:
+    """ln of Borwein's truncation bound at z for n = 0, over 2^-52.
 
-    n is the shortest Borwein sum whose truncation bound is <= 2^-52, as a
-    float array of whole numbers; ``sigma`` is Re z as a list.  Borwein's
-    remainder is below
+    Borwein's remainder is below
     Gamma(Re z) / (d_n |Gamma(z)| |1-2^(1-z)|) with d_n > (3+sqrt 8)^n / 2;
     his published bound omits Gamma(Re z) and fails for small and for large
     Re z.  |Gamma(z)| = |Gamma(z+1)| / |z| keeps clear of the reflection
-    formula; log Gamma(z+1) is the Lanczos sum of
-    ``special_functions.log_gamma``, taken on the whole array:
-    ln(2 pi)/2 + (z + 1/2) log t - t + log acc, with t = z + g + 1/2.
+    formula.
     """
-    k, c, shift, half, rate, one = _lanczos_arrays()
-    acc = np.empty(len(z), dtype=complex)
-    for r in range(0, len(z), _LANCZOS_ROWS):
-        terms = z[r:r + _LANCZOS_ROWS, np.newaxis] + k
-        np.add.reduce(np.divide(c, terms, out=terms), axis=-1, initial=_LANCZOS_C0,
-                      out=acc[r:r + _LANCZOS_ROWS])
-    t = z + shift
-    log_scale = (np.log(z / (acc * prefactor)) - np.log(t) * (z + half) + t).real + np.array(
-        [math.lgamma(s) + _LN_SCALE_CONSTANT for s in sigma])
-    return np.maximum(np.ceil(log_scale / rate), one), log_scale
+    return (math.log(abs(z) / abs(prefactor)) - log_gamma(z + 1.0).real
+            + (math.lgamma(z.real) + _LN_SCALE_CONSTANT))
 
 
-def _borwein_sums(points: Iterable[complex]):
-    """(values, z, prefactors, lengths n, log scales of ``_borwein_lengths``) of the points.
+def _borwein_length(log_scale: float, where: str) -> int:
+    """The least n >= 1 with exp(log_scale) <= (3 + sqrt 8)^n: the shortest
+    Borwein series whose truncation bound is <= 2^-52.
 
-    The values and log scales are arrays, the rest lists.
-
-    The inner path of ``zeta_hat_eta_batch`` and ``zeta_hat_eta_values``:
-    the checks and the Borwein lengths are array passes, while the
-    prefactor 1 - 2^(1-z) is Python's complex power per point, so that each
-    value is bit for bit the one-point value, and is guarded with Python's
-    abs as it is made.  The points are cut, in their order, into blocks of
-    at most ``_BLOCK_ENTRIES`` terms; each block is one ``_partial_sums``
-    pass with one weighted stream per run of rows of one length.  The first
-    invalid point raises what ``zeta_hat_eta`` raises there.
+    Raises BudgetError, naming ``where``, if n exceeds ``BORWEIN_BUDGET``.
+    n is compared as a float, before the int cast, so that a length past the
+    range of ints, or an infinite or nan one, is refused too.
     """
-    z = np.fromiter(points, dtype=complex)
-    sigma = z.real.tolist()
-    if False in np.isfinite(z).tolist() or min(sigma, default=1.0) <= 0.0:
-        _refuse(z)
-    zs = z.tolist()
-    prefactors = [1.0 - 2.0 ** (1.0 - w) for w in zs]
-    if min(map(abs, prefactors), default=1.0) <= GUARD_RADIUS:
-        _refuse(z)
-    prefactor = np.array(prefactors, dtype=complex)
-    n, log_scale = _borwein_lengths(z, prefactor, sigma)
-    lengths = n.tolist()
-    # checked as floats, before the int cast; the max finds a length over
-    # the budget, the sum a nan one
-    if not (max(lengths, default=0.0) <= BORWEIN_BUDGET and sum(lengths) < math.inf):
-        _refuse(z)
-    lengths = list(map(int, lengths))
-    if not lengths:
-        return z, zs, prefactors, lengths, log_scale
-
-    xi = []
-    b0 = 0
-    while b0 < len(lengths):
-        b1, width = b0 + 1, min(lengths[b0], _CHUNK)
-        while b1 < len(lengths):
-            wider = max(width, min(lengths[b1], _CHUNK))
-            if (b1 + 1 - b0) * wider > _BLOCK_ENTRIES:
-                break
-            b1, width = b1 + 1, wider
-        streams, r0 = [], b0
-        for r in range(b0 + 1, b1 + 1):
-            if r == b1 or lengths[r] != lengths[r0]:
-                streams.append(_Stream((lengths[r0],), _borwein_weights(lengths[r0]),
-                                       rows=slice(r0 - b0, r - b0)))
-                r0 = r
-        _partial_sums(z[b0:b1], *streams)
-        xi += [stream.sums[0] for stream in streams]
-        b0 = b1
-    xi = xi[0] if len(xi) == 1 else np.concatenate(xi)
-    return (xi / prefactor).astype(complex), zs, prefactors, lengths, log_scale
-
-
-def _refuse(z: np.ndarray) -> NoReturn:
-    """Raise what ``zeta_hat_eta`` raises at the first invalid point of ``z``."""
-    for w in z.tolist():
-        w = _require_finite(w)
-        if w.real <= 0.0:
-            raise DomainError(f"alternating-series evaluation requires Re z > 0, got {w!r}")
-        prefactor = _eta_prefactor(w)
-        ((n,), _) = _borwein_lengths(np.array([w]), np.array([prefactor]), [w.real])
-        if not n <= BORWEIN_BUDGET:
-            terms = f"{n:.0f} terms" if math.isfinite(n) else "more terms than a float holds"
-            raise BudgetError(f"zeta_hat_eta at z={w!r} needs a Borwein series of {terms}, "
-                              f"above the budget {BORWEIN_BUDGET}")
-    raise AssertionError("no invalid point")
+    n = log_scale / _LN_BORWEIN_RATE
+    if not n <= BORWEIN_BUDGET:
+        terms = f"{math.ceil(n)} terms" if math.isfinite(n) else "more terms than a float holds"
+        raise BudgetError(f"{where} needs a Borwein series of {terms}, "
+                          f"above the budget {BORWEIN_BUDGET}")
+    return max(1, math.ceil(n))
 
 
 def zeta_hat_eta(z: complex) -> SeriesValue:
@@ -464,36 +367,59 @@ def zeta_hat_eta(z: complex) -> SeriesValue:
     whose truncation bound is <= 2^-52, about 0.9 |Im z| + 25 terms in the
     strip.  Raises PrefactorSingularityError within ``GUARD_RADIUS`` of a
     zero of 1 - 2^(1-z), and BudgetError, before any weight is built, if n
-    exceeds ``BORWEIN_BUDGET``.  See SeriesValue for ``est_error``.  This is
-    the one-point case of ``zeta_hat_eta_batch``.
+    exceeds ``BORWEIN_BUDGET``.  See SeriesValue for ``est_error``.
     """
-    (value,) = zeta_hat_eta_batch([z])
-    return value
-
-
-def zeta_hat_eta_batch(points: Iterable[complex]) -> list[SeriesValue]:
-    """``zeta_hat_eta`` at each of ``points``, bit for bit, in array passes.
-
-    Each row of the batch's term matrices is summed on its own (chunk by
-    chunk, in extended precision), so a value does not depend on the other
-    points.  The first invalid point raises what ``zeta_hat_eta`` raises
-    there.
-    """
-    value, z, prefactor, n, log_scale = _borwein_sums(points)
+    z = _require_finite(z)
+    if z.real <= 0.0:
+        raise DomainError(f"alternating-series evaluation requires Re z > 0, got {z!r}")
+    prefactor = _eta_prefactor(z)
+    log_scale = _log_scale(z, prefactor)
+    n = _borwein_length(log_scale, f"zeta_hat_eta at z={z!r}")
+    ((xi,),) = _partial_sums(z, _Stream((n,), _borwein_weights(n)))
+    value = complex(xi / prefactor)
     # the truncation bound is 2^-52 exp(log_scale) / (3 + sqrt 8)^n
-    return [SeriesValue(v, k, _EPS * math.exp(s - k * _LN_BORWEIN_RATE)
-                        + _rounding_bound(zi, pi, v, k))
-            for zi, pi, v, k, s in zip(z, prefactor, value.tolist(), n, log_scale.tolist())]
+    return SeriesValue(value, n, _EPS * math.exp(log_scale - n * _LN_BORWEIN_RATE)
+                       + _rounding_bound(z, prefactor, value, n))
 
 
-def zeta_hat_eta_values(points: Iterable[complex]) -> list[complex]:
-    """The values of ``zeta_hat_eta_batch(points)``, without their error bounds.
+def line_length(t: float) -> int:
+    """The least Borwein length serving every ordinate 1/2 + i t', |t'| <= |t|.
 
-    The zero scan's evaluation: the same passes, bit for bit the same values
-    and the same errors, but no ``SeriesValue`` and no rounding bound per
-    point.
+    On the line |Gamma(z)|^2 = pi / cosh(pi t') = Gamma(1/2)^2 / cosh(pi t')
+    and |1 - 2^(1/2 - i t')| >= sqrt 2 - 1, so ``_log_scale`` there is at
+    most ln 2 + ln cosh(pi t) / 2 - ln(sqrt 2 - 1) - ln 2^-52, which grows
+    with |t|.  The prefactor's modulus spans a factor of 3 + sqrt 8, one
+    term, so n is at most about one term above ``zeta_hat_eta``'s near |t|.
+    Raises ValueError unless t is finite, and BudgetError past the budget.
     """
-    return _borwein_sums(points)[0].tolist()
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
+    x = math.pi * abs(t)
+    # ln cosh x = x - ln 2 + ln(1 + e^(-2x)) stays finite past cosh's range;
+    # from |t| ~ 5.7e307 on, x itself is inf and so is the length
+    log_scale = _LN_LINE_SCALE + 0.5 * (x - LN_2 + math.log1p(math.exp(-2.0 * x)))
+    return _borwein_length(log_scale, f"the critical line up to |t| = {abs(t)!r}")
+
+
+def zeta_hat_eta_line(ts: list[float], n: int) -> list[complex]:
+    """zhat(1/2 + i t) at each ordinate from the Borwein series of length n.
+
+    With n = ``line_length`` of the largest |t| or more, every truncation
+    bound holds; the values carry no error bound.  The ordinates are summed
+    in blocks of at most ``_BLOCK_ENTRIES`` terms with one weight vector,
+    each in its own row, so a value depends only on its ordinate and n; at
+    the point's own length it is bit for bit ``zeta_hat_eta``'s value.
+    """
+    weights = _borwein_weights(n)
+    rows = max(1, _BLOCK_ENTRIES // min(n, _CHUNK))
+    values = []
+    for b in range(0, len(ts), rows):
+        z = [complex(0.5, t) for t in ts[b:b + rows]]
+        ((xi,),) = _partial_sums(np.array(z), _Stream((n,), weights))
+        prefactor = np.array([_eta_prefactor(w) for w in z])
+        values += (xi / prefactor).astype(complex).tolist()
+    return values
 
 
 def _rounding_bound(z: complex, prefactor: complex, value: complex, n: int) -> float:
@@ -507,9 +433,7 @@ def _rounding_bound(z: complex, prefactor: complex, value: complex, n: int) -> f
     The terms' part, eps sum_k e_k k^(-Re z) (3 + |z| ln k), is taken as
     eps (3 A + |z| B) with A and B from ``_decay_sums``, cached per length
     and Re z, so a bound depends only on n and its own point.  The rest is
-    a handful of scalar operations: only the public values carry a bound,
-    mostly one point at a time, and for one point Python's arithmetic costs
-    less than numpy's per-call overhead.
+    a handful of scalar operations on the one point of ``zeta_hat_eta``.
     """
     a, b = _decay_sums(n, z.real)
     prefactor_bound = 2.0 ** (1.0 - z.real) * (2.0 + abs(1.0 - z)) + 2.0 * abs(prefactor)

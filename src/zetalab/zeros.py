@@ -29,8 +29,8 @@ from .errors import (
     ParseError,
     WindowTooCoarse,
 )
-from .series import zeta_hat_eta_values
-from .special_functions import LN_PI, _lanczos_log_gamma
+from .series import line_length, zeta_hat_eta_line
+from .special_functions import LN_PI, log_gamma
 
 #: Scan steps above this risk skipping zeros below t = 100: two zeros inside
 #: one step cancel each other's sign change.
@@ -133,7 +133,7 @@ def _theta(t: float) -> float:
     + 7/(5760 t^3) + 31/(80640 t^5) + 127/(430080 t^7) + ...
     Below it, theta(t) = Im log Gamma(w) - (t/2) ln pi with w = 1/4 + i t/2,
     taken by Gamma(w+1) = w Gamma(w) as Im(log Gamma(w+1) - log w) -
-    (t/2) ln pi, which keeps the Lanczos sum off the reflection formula; its
+    (t/2) ln pi: at Re(w+1) = 5/4 ``log_gamma`` needs no reflection.  The
     branch is fixed only up to 2*pi, which leaves exp(i theta) unchanged.
     """
     if t >= THETA_SERIES_FROM:
@@ -143,25 +143,27 @@ def _theta(t: float) -> float:
                 + u * (1.0 / 48.0 + u2 * (7.0 / 5760.0 + u2 * (31.0 / 80640.0
                                                                 + u2 * (127.0 / 430080.0)))))
     w = complex(0.25, 0.5 * t)
-    return (_lanczos_log_gamma(w + 1.0) - cmath.log(w)).imag - 0.5 * t * LN_PI
+    return (log_gamma(w + 1.0) - cmath.log(w)).imag - 0.5 * t * LN_PI
 
 
-def _evaluate(ts: list[float]) -> tuple[list[float], list[float]]:
-    """(Z(t), |zhat(1/2 + i t)|) at each ordinate, from one batched series pass.
+def _evaluate(ts: list[float], n: int) -> tuple[list[float], list[float]]:
+    """(Z(t), |zhat(1/2 + i t)|) at each ordinate, from Borwein series of length n.
 
-    Z(t) = Re(exp(i theta(t)) zhat) with ``_theta`` per ordinate; a phase error
-    e scales Re(exp(i e) Z) = Z cos e, so it cannot move a root.  Each value
-    depends on its ordinate only, so the scan grid and each refinement step,
-    which call this, evaluate the same function.
+    Z(t) = Re(exp(i theta(t)) zhat) with ``_theta`` per ordinate; a phase
+    error e scales Re(exp(i e) Z) = Z cos e, so it cannot move a root.  A
+    value depends only on its ordinate and n, so the scan grid and each
+    refinement step, at the window's n, evaluate the same function.
     """
-    values = zeta_hat_eta_values(complex(0.5, t) for t in ts)
+    values = zeta_hat_eta_line(ts, n)
     return ([(cmath.exp(1j * _theta(t)) * v).real for t, v in zip(ts, values)],
             [abs(v) for v in values])
 
 
 def hardy_z(t: float) -> float:
-    """Hardy's Z(t) = Re(exp(i theta(t)) zhat(1/2 + i t)), real on the line."""
-    return _evaluate([float(t)])[0][0]
+    """Hardy's Z(t) = Re(exp(i theta(t)) zhat(1/2 + i t)), real on the line,
+    with zhat at n = ``line_length(t)``."""
+    t = float(t)
+    return _evaluate([t], line_length(t))[0][0]
 
 
 def _require_tolerance(tolerance: float, name: str = "tolerance") -> None:
@@ -181,13 +183,13 @@ def _checked(t: float, residual: float, tolerance: float, where: str,
     return ZeroRecord(index=0, ordinate=t, residual_mag=residual, refined=refined)
 
 
-def _refine(brackets: list[tuple[float, float, float, float]]) -> list[tuple[float, float]]:
+def _refine(brackets: list[tuple[float, float, float, float]], n: int) -> list[tuple[float, float]]:
     """(last iterate, |zhat| there) of each sign-change bracket (t_lo, t_hi, Z(t_lo), Z(t_hi)).
 
     The brackets are refined in lockstep: each Illinois step of every bracket
-    still running is one ``_evaluate`` call.  Each bracket keeps its own
+    still running is one ``_evaluate`` call at n.  Each bracket keeps its own
     iterates and its own stopping rule, so its result is what it would be
-    alone.
+    alone at the same n.
     """
     # a, Z(a), b, Z(b), the step bound, and |zhat| at b
     state = [[t_lo, z_lo, t_hi, z_hi, 4.0 * math.ulp(max(abs(t_lo), abs(t_hi))), math.nan]
@@ -197,7 +199,7 @@ def _refine(brackets: list[tuple[float, float, float, float]]) -> list[tuple[flo
         if not running:
             break
         ts = [b - fb * (b - a) / (fb - fa) for a, fa, b, fb, *_ in running]
-        values, residuals = _evaluate(ts)
+        values, residuals = _evaluate(ts, n)
         still = []
         for s, t, z, residual in zip(running, ts, values, residuals):
             a, fa, b, fb, xtol, _ = s
@@ -217,30 +219,33 @@ def refine_zero(t_lo: float, t_hi: float, *, tolerance: float = DEFAULT_TOLERANC
     """Refine the zero inside a sign-change bracket [t_lo, t_hi] of Z.
 
     ``z_lo`` and ``z_hi`` are Z at the ends when the caller already has them;
-    otherwise they are evaluated.  Illinois iterations (regula falsi that
-    halves the value kept at a stale end) run until consecutive iterates are
+    otherwise they are evaluated, all at n = ``line_length(max(|t_lo|,
+    |t_hi|))``.  Illinois iterations (regula falsi that halves the value
+    kept at a stale end) run until consecutive iterates are
     within four ulps or Z is exactly 0.  The reported ordinate is the last
     iterate, so it lies in the bracket, and ``residual_mag`` is |zhat| there.
     This is the one-bracket case of the lockstep refinement of ``scan_zeros``.
 
     Raises BracketError unless Z(t_lo) and Z(t_hi) have strictly opposite
-    signs, ConfigError unless ``tolerance`` is finite and > 0, and NoConvergence, naming the
-    bracket, if |zhat| at the result is above ``tolerance``: a sign change is
-    a zero, so only a tolerance too tight to resolve it can fail here.
+    signs, ConfigError unless ``tolerance`` is finite and > 0, BudgetError if
+    the series is too long, and NoConvergence, naming the bracket, if |zhat|
+    at the result is above ``tolerance``: a sign change is a zero, so only a
+    tolerance too tight to resolve it can fail here.
     """
     _require_tolerance(tolerance)
     t_lo, t_hi = float(t_lo), float(t_hi)
     if not t_lo < t_hi:
         raise BracketError(f"bracket [{t_lo}, {t_hi}] is empty")
+    n = line_length(max(abs(t_lo), abs(t_hi)))
     if z_lo is None:
-        z_lo = hardy_z(t_lo)
+        z_lo = _evaluate([t_lo], n)[0][0]
     if z_hi is None:
-        z_hi = hardy_z(t_hi)
+        z_hi = _evaluate([t_hi], n)[0][0]
     if not z_lo * z_hi < 0.0:
         raise BracketError(
             f"Z has no sign change on [{t_lo}, {t_hi}]: Z = {z_lo:.3e}, {z_hi:.3e}"
         )
-    ((t, residual),) = _refine([(t_lo, t_hi, z_lo, z_hi)])
+    ((t, residual),) = _refine([(t_lo, t_hi, z_lo, z_hi)], n)
     return _checked(t, residual, tolerance, f"bracket [{t_lo}, {t_hi}]", refined=True)
 
 
@@ -251,9 +256,10 @@ def scan_zeros(window: ScanWindow, *, tolerance: float = DEFAULT_TOLERANCE) -> l
     ``step``, refines every strict sign change between neighbouring points,
     all in lockstep (one ``_evaluate`` call per Illinois step), and takes a
     grid point where Z is exactly 0 as a zero itself (with ``refined``
-    False).  Records are ordered (and 1-indexed) by ordinate.  Any zero whose
-    |zhat| exceeds ``tolerance`` raises NoConvergence; the first in order
-    is named.
+    False).  All of it is at one Borwein length, ``line_length(t_max)``,
+    fixed before the grid is built, so a window builds one weight vector.
+    Records are ordered (and 1-indexed) by ordinate.  Any zero whose |zhat|
+    exceeds ``tolerance`` raises NoConvergence; the first in order is named.
     """
     _require_tolerance(tolerance)
     if window.step > MAX_SCAN_STEP:
@@ -261,12 +267,13 @@ def scan_zeros(window: ScanWindow, *, tolerance: float = DEFAULT_TOLERANCE) -> l
             f"step {window.step} > {MAX_SCAN_STEP} risks skipping zeros below t=100"
         )
 
+    n = line_length(window.t_max)
     grid = window.grid()
-    values, residuals = _evaluate(grid)
+    values, residuals = _evaluate(grid, n)
 
     brackets = [(t, grid[i + 1], z, values[i + 1]) for i, (t, z) in enumerate(zip(grid, values))
                 if i + 1 < len(grid) and z * values[i + 1] < 0.0]
-    refined = iter(_refine(brackets))
+    refined = iter(_refine(brackets, n))
 
     found = []
     for i, (t, z) in enumerate(zip(grid, values)):

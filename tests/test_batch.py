@@ -1,108 +1,83 @@
-"""The batched kernel: zeta_hat_eta_batch must equal per-point zeta_hat_eta
-calls bit for bit (compared by float.hex) in value, n_used and est_error."""
+"""The critical-line kernel: zeta_hat_eta_line sums many ordinates at one
+Borwein length n, each in its own row, and line_length gives the n that
+serves every ordinate up to |t|.  Values are compared by float.hex."""
 
 import math
 
 import pytest
 
-from zetalab import (
-    DomainError,
-    PrefactorSingularityError,
-    zeta_hat_eta,
-    zeta_hat_eta_batch,
-)
+from zetalab import DomainError, PrefactorSingularityError, ScanWindow, zeta_hat_eta
 from zetalab import series
+from zetalab.series import line_length, zeta_hat_eta_line
 
 
-def fields(v):
-    return (v.value.real.hex(), v.value.imag.hex(), v.n_used, v.est_error.hex())
+def hexes(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
 
 
-def assert_matches_scalar(points):
-    batch = zeta_hat_eta_batch(points)
-    assert [fields(v) for v in batch] == [fields(zeta_hat_eta(z)) for z in points]
-    return batch
+def assert_rows_stand_alone(ts, n):
+    # each row is what the ordinate gives summed alone at the same n
+    values = zeta_hat_eta_line(ts, n)
+    assert hexes(values) == hexes([v for t in ts for v in zeta_hat_eta_line([t], n)])
+    return values
 
 
-def n_change_pair(sigma, t_lo, t_hi):
-    """Two ordinates within 1e-9 of each other on either side of a change of n."""
-    n_at = lambda t: zeta_hat_eta(complex(sigma, t)).n_used
-    assert n_at(t_lo) != n_at(t_hi)
-    while t_hi - t_lo > 1e-9:
-        mid = 0.5 * (t_lo + t_hi)
-        if n_at(mid) == n_at(t_lo):
-            t_lo = mid
-        else:
-            t_hi = mid
-    return t_lo, t_hi
+class TestRowsStandAlone:
+    def test_scan_grid(self):
+        ts = ScanWindow(41.7, 61.7, 0.05).grid()
+        assert_rows_stand_alone(ts, line_length(ts[-1]))
 
+    def test_across_the_chunk_boundary(self):
+        # series of about 4200 terms, two chunks each, one row per block
+        ts = [4400.0, 4500.0, 4550.0, 4650.0, 4700.0, -4600.0]
+        n = line_length(4700.0)
+        assert series._CHUNK < n < 2 * series._CHUNK
+        assert_rows_stand_alone(ts, n)
 
-class TestBatchEqualsScalar:
-    @pytest.mark.parametrize("sigma", [0.1, 0.5, 0.9])
-    def test_scan_grid(self, sigma):
-        points = [complex(sigma, 41.7 + 0.05 * i) for i in range(81)]
-        batch = assert_matches_scalar(points)
-        assert len({v.n_used for v in batch}) >= 3  # several weight groups
-
-    @pytest.mark.parametrize("sigma", [0.1, 0.5, 0.9])
-    def test_both_sides_of_a_change_in_n(self, sigma):
-        t_lo, t_hi = n_change_pair(sigma, 50.0, 52.0)
-        batch = assert_matches_scalar([complex(sigma, t) for t in (t_lo, t_hi, 51.0)])
-        assert batch[0].n_used + 1 == batch[1].n_used
-
-    def test_real_axis_and_negative_ordinates(self):
-        points = [complex(0.5, 0.0), complex(0.5, -0.0), complex(2.0, 0.0),
-                  complex(0.25, -0.0), complex(0.5, -14.134725141734693),
-                  complex(0.9, -25.0), complex(0.1, -3000.0), complex(0.5, 25.0)]
-        assert_matches_scalar(points)
-
-    def test_large_t(self):
-        points = [complex(sigma, t) for sigma in (0.1, 0.5, 0.9) for t in (1000.0, 3000.0)]
-        batch = assert_matches_scalar(points)
-        assert batch[3].n_used == 2695  # 0.5 + 3000i
-
-    def test_series_spans_two_chunks(self):
-        points = [complex(sigma, t) for sigma in (0.1, 0.5, 0.9) for t in (5000.0, -5000.0)]
-        batch = assert_matches_scalar(points)
-        assert all(series._CHUNK < v.n_used <= 2 * series._CHUNK for v in batch)
-
-    def test_points_span_several_blocks(self, monkeypatch):
-        # blocks are cut in the order of the points and hold as many rows as
-        # fit in _BLOCK_ENTRIES terms, each row as wide as the block's widest
+    def test_blocks_hold_at_most_the_block_entries(self, monkeypatch):
         blocks = []
 
         def spy(z, *streams):
-            # each stream is a run of rows of one length
-            blocks.append([len(s.weights) for s in streams for _ in z[s.rows]])
+            blocks.append(len(z))
             return partial_sums(z, *streams)
 
         partial_sums = series._partial_sums
         monkeypatch.setattr(series, "_partial_sums", spy)
-        points = [complex(0.5, 300.0 + 0.01 * i) for i in range(60)]
-        lengths = [v.n_used for v in zeta_hat_eta_batch(points)]
-        monkeypatch.undo()
-        assert len(blocks) >= 2 and sum(blocks, []) == lengths
-        for block, following in zip(blocks, blocks[1:]):
-            assert len(block) * max(block) <= series._BLOCK_ENTRIES
-            assert (len(block) + 1) * max(block + following[:1]) > series._BLOCK_ENTRIES
-        assert_matches_scalar(points)
+        ts = ScanWindow(41.7, 61.7, 0.05).grid()
+        n = line_length(ts[-1])
+        zeta_hat_eta_line(ts, n)
+        rows = series._BLOCK_ENTRIES // n  # 53 rows of 77 terms
+        assert blocks == [len(ts[b:b + rows]) for b in range(0, len(ts), rows)]
+        assert len(blocks) == 8
 
-    def test_lengths_across_the_chunk_boundary(self):
-        # series of about 3985 to 4255 terms, on both sides of the 4096-term
-        # chunk, batched with short ones
-        points = [complex(0.5, t) for t in (4400.0, 20.0, 4500.0, 4550.0, 4650.0, 25.0, 4700.0)]
-        batch = assert_matches_scalar(points)
-        assert min(v.n_used for v in batch) < 64
-        assert min(v.n_used for v in batch[::2]) < series._CHUNK < max(v.n_used for v in batch)
+    @pytest.mark.parametrize("t", [0.0, -0.0, 14.134725141734693, -25.0, 3000.0, 4600.0])
+    def test_row_at_the_points_own_length_is_the_scalar_value(self, t):
+        sv = zeta_hat_eta(complex(0.5, t))
+        assert hexes(zeta_hat_eta_line([t], sv.n_used)) == hexes([sv.value])
 
-    def test_order_of_points_does_not_matter(self):
-        points = [complex(0.5, 41.7 + 0.37 * i) for i in range(30)]
-        forward = zeta_hat_eta_batch(points)
-        backward = zeta_hat_eta_batch(points[::-1])
-        assert [fields(v) for v in forward] == [fields(v) for v in backward[::-1]]
+    def test_no_ordinates(self):
+        assert zeta_hat_eta_line([], line_length(20.0)) == []
 
-    def test_empty_batch(self):
-        assert zeta_hat_eta_batch([]) == []
+
+class TestLineLength:
+    @pytest.mark.parametrize("t_min,t_max", [(0.0, 20.0), (41.7, 61.7), (2990.0, 3010.0)])
+    def test_covers_every_grid_point_with_at_most_one_term_more(self, t_min, t_max):
+        grid = ScanWindow(t_min, t_max, 0.05).grid()
+        lengths = [zeta_hat_eta(complex(0.5, t)).n_used for t in grid]
+        n = line_length(t_max)
+        assert all(m <= n for m in lengths)
+        assert n <= max(lengths) + 1
+
+    def test_even_and_growing(self):
+        ts = [0.0, 0.5, 14.1, 100.0, 1000.0, 10_000.0]
+        lengths = [line_length(t) for t in ts]
+        assert lengths == [line_length(-t) for t in ts]
+        assert lengths == sorted(lengths)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises_value_error(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            line_length(t)
 
 
 class TestInvalidPoint:
@@ -113,10 +88,11 @@ class TestInvalidPoint:
         (complex(1.0, 0.0), PrefactorSingularityError),
         (complex(math.nan, 1.0), ValueError),
         (complex(0.5, math.inf), ValueError),
+        # the checks come in order: finite, Re z > 0, the prefactor, the budget
+        (complex(-0.5, math.inf), ValueError),
+        (complex(0.0, 1e20), DomainError),
     ])
-    def test_raises_what_the_scalar_call_raises(self, bad, error):
-        with pytest.raises(error) as scalar:
+    def test_scalar_call_raises(self, bad, error):
+        with pytest.raises(error) as raised:
             zeta_hat_eta(bad)
-        with pytest.raises(error) as batch:
-            zeta_hat_eta_batch([complex(0.5, 20.0), bad, complex(0.5, 30.0)])
-        assert type(batch.value) is type(scalar.value)
+        assert type(raised.value) is error

@@ -9,10 +9,13 @@ from zetalab import (
     BudgetError,
     DomainError,
     PrefactorSingularityError,
+    ScanWindow,
     SingularityError,
     eta_partial,
+    hardy_z,
     identity_residual_plain,
     identity_residual_regularized,
+    scan_zeros,
     zeta_hat_eta,
     zeta_hat_regularized,
     zeta_hat_regularized_schedule,
@@ -178,15 +181,13 @@ class TestAccumulator:
             assert [(v.real.hex(), v.imag.hex()) for v in map(complex, both)] == \
                 [(v.real.hex(), v.imag.hex()) for v in map(complex, alone)]
 
-    def test_rows_of_different_lengths_across_chunks(self):
-        # one term matrix for rows of 100, 4095 and 4200 terms: each row's sum
-        # is the sum it has alone, and the short rows stop at their own n
-        z = np.array([0.5 + 300.0j, 0.3 + 20.0j, 0.5 + 4600.0j, 0.5 + 4601.0j])
-        lengths = (100, 4095, 4200, 4200)
-        streams = [_Stream((n,), series._borwein_weights(n), rows=rows)
-                   for n, rows in zip(lengths, (slice(0, 1), slice(1, 2), slice(2, 4)))]
-        rows = np.concatenate([sums for (sums,) in _partial_sums(z, *streams)])
-        for zi, n, row in zip(z, lengths, rows):
+    def test_weighted_rows_across_chunks(self):
+        # one term matrix of 4200-term rows, off the line too: each row's sum
+        # is the sum it has alone
+        z = np.array([0.5 + 300.0j, 0.3 + 20.0j, 0.9 - 4600.0j, 0.5 + 4601.0j])
+        n = 4200
+        ((rows,),) = _partial_sums(z, _Stream((n,), series._borwein_weights(n)))
+        for zi, row in zip(z, rows):
             ((alone,),) = _partial_sums([zi], _Stream((n,), series._borwein_weights(n)))
             assert (row.real, row.imag) == (alone[0].real, alone[0].imag)
 
@@ -259,9 +260,10 @@ class TestBorweinBudget:
 
     @staticmethod
     def length(t):
+        # the length zeta_hat_eta takes at 1/2 + it, before its budget check
         z = complex(0.5, t)
-        prefactor = series._eta_prefactor(z)
-        return int(series._borwein_lengths(np.array([z]), np.array([prefactor]), [z.real])[0][0])
+        log_scale = series._log_scale(z, series._eta_prefactor(z))
+        return math.ceil(log_scale / series._LN_BORWEIN_RATE)
 
     def test_boundary(self):
         t_lo, t_hi = 1e4, 1e5
@@ -279,14 +281,18 @@ class TestBorweinBudget:
             zeta_hat_eta(complex(0.5, t_hi))
 
     def test_refused_before_any_weight_is_built(self):
-        # the point within budget comes first, and its weights are not built
-        # either; 1e20 and -1e20 need about 8.9e19 terms, past the range of
-        # int64, and the length at 1.7e308 overflows to inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in (1e6, 1e20, -1e20, 1.7e308):
-                for points in ([complex(0.5, t)], [complex(0.5, 20.0), complex(0.5, t)]):
-                    with pytest.raises(BudgetError, match="above the budget"):
-                        series.zeta_hat_eta_batch(points)
+        # 1e20 and -1e20 need about 8.9e19 terms, past the range of int64, and
+        # at 1.7e308 the lengths overflow to inf (pi t already does from
+        # about 5.7e307): each is a BudgetError, not an OverflowError; a
+        # scan window cannot lie at -1e20, nor be 0.5-stepped at 1.7e308
+        for t in (1e6, 1e20, -1e20, 1.7e308):
+            with pytest.raises(BudgetError, match="above the budget"):
+                zeta_hat_eta(complex(0.5, t))
+            with pytest.raises(BudgetError, match="above the budget"):
+                hardy_z(t)
+            if 0.0 < t < 1e300:
+                with pytest.raises(BudgetError, match="above the budget"):
+                    scan_zeros(ScanWindow(t, t + max(1.0, math.ulp(t)), 0.5))
 
 
 class TestIdentities:

@@ -20,7 +20,7 @@ from zetalab import (
     zeta_hat_eta,
 )
 from zetalab import zeros
-from zetalab.series import _borwein_weights, _partial_sums, _Stream
+from zetalab.series import _borwein_weights, _partial_sums, _Stream, line_length
 from zetalab.zeros import ZeroRecord
 
 import oracles
@@ -119,39 +119,33 @@ class TestScan:
         assert len(records) == 1
         assert abs(records[0].ordinate - oracles.ZERO_ORDINATES_FIRST10[0]) <= 1e-12
 
-    def test_refinement_reuses_the_grids_weights(self, monkeypatch):
-        # a 20-wide window needs about 19 Borwein lengths; refinement must
-        # find each of them still cached
+    @pytest.mark.parametrize("t_min,t_max,count", [(77.1, 97.1, 9), (2990.0, 3010.0, 19)])
+    def test_a_cold_scan_builds_one_weight_vector(self, t_min, t_max, count):
+        # the grid and the refinement share the window's one Borwein length
         _borwein_weights.cache_clear()
-        misses = []
-        evaluate = zeros._evaluate
-
-        def counted(ts):
-            result = evaluate(ts)
-            misses.append(_borwein_weights.cache_info().misses)
-            return result
-        monkeypatch.setattr(zeros, "_evaluate", counted)
-        assert len(scan_zeros(ScanWindow(77.1, 97.1, 0.05))) == 9
-        assert misses[0] == 19 and len(misses) > 1 and misses[-1] == misses[0]
+        assert len(scan_zeros(ScanWindow(t_min, t_max, 0.05))) == count
+        assert _borwein_weights.cache_info().misses == 1
 
     def test_refinement_steps_every_bracket_together(self, monkeypatch):
         # one grid call, then one call per Illinois step of the slowest
         # bracket, each covering every bracket still running
         window = ScanWindow(41.7, 61.7, 0.05)
         grid = window.grid()
-        values, _ = zeros._evaluate(grid)
-        brackets = [i for i in range(len(grid) - 1) if values[i] * values[i + 1] < 0.0]
+        n = line_length(window.t_max)
+        values, _ = zeros._evaluate(grid, n)
+        brackets = [(grid[i], grid[i + 1], values[i], values[i + 1])
+                    for i in range(len(grid) - 1) if values[i] * values[i + 1] < 0.0]
         calls = []
         evaluate = zeros._evaluate
 
-        def counted(ts):
+        def counted(ts, n):
             calls.append(len(ts))
-            return evaluate(ts)
+            return evaluate(ts, n)
         monkeypatch.setattr(zeros, "_evaluate", counted)
         steps = []
-        for i in brackets:
+        for bracket in brackets:
             calls.clear()
-            refine_zero(grid[i], grid[i + 1], z_lo=values[i], z_hi=values[i + 1])
+            zeros._refine([bracket], n)
             steps.append(len(calls))
         calls.clear()
         records = scan_zeros(window)
@@ -163,17 +157,19 @@ class TestScan:
     @pytest.mark.parametrize("t_min,t_max", [(41.7, 61.7), (4990.0, 4992.0)])
     def test_scan_equals_refining_each_bracket(self, t_min, t_max):
         # lockstep refinement keeps each bracket's own iterates: every zero is
-        # bit for bit what refine_zero gives on its bracket alone, also where
-        # the series (about 4480 terms near t = 4990) spans two chunks
+        # bit for bit what _refine gives on its bracket alone at the scan's n,
+        # also where the series (about 4480 terms near t = 4990) spans two
+        # chunks
         window = ScanWindow(t_min, t_max, 0.05)
         grid = window.grid()
-        values, _ = zeros._evaluate(grid)
-        alone = [refine_zero(grid[i], grid[i + 1], z_lo=values[i], z_hi=values[i + 1])
+        n = line_length(window.t_max)
+        values, _ = zeros._evaluate(grid, n)
+        alone = [zeros._refine([(grid[i], grid[i + 1], values[i], values[i + 1])], n)[0]
                  for i in range(len(grid) - 1) if values[i] * values[i + 1] < 0.0]
         records = scan_zeros(window)
         assert len(records) == len(alone) >= 2
         assert [(r.ordinate.hex(), r.residual_mag.hex()) for r in records] == \
-            [(r.ordinate.hex(), r.residual_mag.hex()) for r in alone]
+            [(t.hex(), residual.hex()) for t, residual in alone]
 
     def test_scan_is_deterministic(self, five_records):
         again = scan_zeros(ScanWindow(10.0, 35.0, 0.05))
@@ -229,14 +225,16 @@ class TestHardyZ:
         assert abs(zeros._theta(t) - expected) <= 1e-12 + 0.5 * math.ulp(expected)
 
     def test_grid_and_one_point_calls_agree_bit_for_bit(self):
-        # the scan grid is one batched call and refinement calls one ordinate
-        # at a time; both must evaluate the same function
+        # the scan grid is one call and refinement calls one ordinate at a
+        # time, at the window's n; both must evaluate the same function
         grid = ScanWindow(41.7, 61.7, 0.05).grid()
-        values, residuals = zeros._evaluate(grid)
+        n = line_length(grid[-1])
+        values, residuals = zeros._evaluate(grid, n)
         for i in range(0, len(grid), 23):
-            (z,), (residual,) = zeros._evaluate([grid[i]])
+            (z,), (residual,) = zeros._evaluate([grid[i]], n)
             assert (z.hex(), residual.hex()) == (values[i].hex(), residuals[i].hex())
-            assert hardy_z(grid[i]).hex() == values[i].hex()
+            # hardy_z takes its own, shorter series: the same Z to rounding
+            assert abs(hardy_z(grid[i]) - values[i]) <= 1e-14
 
 
 class TestScanLogic:
@@ -246,7 +244,7 @@ class TestScanLogic:
     @staticmethod
     def synthetic(monkeypatch, f, calls=None):
         # the array form: one call per grid, a one-point list per refinement step
-        def evaluate(ts):
+        def evaluate(ts, n):
             if calls is not None:
                 calls.append(list(ts))
             values = [f(t) for t in ts]
