@@ -1,9 +1,12 @@
-"""The critical-line kernel: zeta_hat_eta_line sums many ordinates at one
-Borwein length n, each in its own row, and line_length gives the n that
-serves every ordinate up to |t|.  Values are compared by float.hex."""
+"""Rows of one term matrix: points summed together at one Borwein length n,
+each in its own row, give what each gives summed alone, and at a point's
+own length zeta_hat_eta's value.  On the critical line zeta_hat_eta_line
+sums ordinates so, and line_length gives the n that serves every ordinate
+up to |t|.  Values are compared by float.hex."""
 
 import math
 
+import numpy as np
 import pytest
 
 from zetalab import DomainError, PrefactorSingularityError, ScanWindow, zeta_hat_eta
@@ -15,26 +18,79 @@ def hexes(values):
     return [(v.real.hex(), v.imag.hex()) for v in values]
 
 
-def assert_rows_stand_alone(ts, n):
-    # each row is what the ordinate gives summed alone at the same n
-    values = zeta_hat_eta_line(ts, n)
-    assert hexes(values) == hexes([v for t in ts for v in zeta_hat_eta_line([t], n)])
+def together(points, n):
+    """zhat at each point from the Borwein series of length n, the points
+    summed as the rows of one term matrix.  On the critical line the values
+    are checked against zeta_hat_eta_line's."""
+    ((xi,),) = series._partial_sums(np.array(points, dtype=complex),
+                                    series._Stream((n,), series._borwein_weights(n)))
+    values = [complex(x / series._eta_prefactor(z)) for x, z in zip(xi, points)]
+    if all(z.real == 0.5 for z in points):
+        assert hexes(zeta_hat_eta_line([z.imag for z in points], n)) == hexes(values)
     return values
 
 
-class TestRowsStandAlone:
-    def test_scan_grid(self):
+def assert_matches_scalar(points):
+    # the points of each length, summed together at it, give the scalar values
+    scalar = [zeta_hat_eta(z) for z in points]
+    for n in {v.n_used for v in scalar}:
+        group = [(z, v.value) for z, v in zip(points, scalar) if v.n_used == n]
+        assert hexes(together([z for z, _ in group], n)) == hexes([v for _, v in group])
+    return scalar
+
+
+def assert_rows_stand_alone(points, n):
+    assert hexes(together(points, n)) == hexes([v for z in points for v in together([z], n)])
+
+
+def n_change_pair(sigma, t_lo, t_hi):
+    """Two ordinates within 1e-9 of each other on either side of a change of n."""
+    n_at = lambda t: zeta_hat_eta(complex(sigma, t)).n_used
+    assert n_at(t_lo) != n_at(t_hi)
+    while t_hi - t_lo > 1e-9:
+        mid = 0.5 * (t_lo + t_hi)
+        if n_at(mid) == n_at(t_lo):
+            t_lo = mid
+        else:
+            t_hi = mid
+    return t_lo, t_hi
+
+
+class TestBatchEqualsScalar:
+    @pytest.mark.parametrize("sigma", [0.1, 0.5, 0.9])
+    def test_scan_grid(self, sigma):
         ts = ScanWindow(41.7, 61.7, 0.05).grid()
-        assert_rows_stand_alone(ts, line_length(ts[-1]))
+        points = [complex(sigma, t) for t in ts]
+        scalar = assert_matches_scalar(points)
+        assert len({v.n_used for v in scalar}) >= 3  # several lengths
+        n = line_length(ts[-1]) if sigma == 0.5 else max(v.n_used for v in scalar)
+        assert_rows_stand_alone(points, n)
 
-    def test_across_the_chunk_boundary(self):
-        # series of about 4200 terms, two chunks each, one row per block
-        ts = [4400.0, 4500.0, 4550.0, 4650.0, 4700.0, -4600.0]
-        n = line_length(4700.0)
-        assert series._CHUNK < n < 2 * series._CHUNK
-        assert_rows_stand_alone(ts, n)
+    @pytest.mark.parametrize("sigma", [0.1, 0.5, 0.9])
+    def test_both_sides_of_a_change_in_n(self, sigma):
+        t_lo, t_hi = n_change_pair(sigma, 50.0, 52.0)
+        scalar = assert_matches_scalar([complex(sigma, t) for t in (t_lo, t_hi, 51.0)])
+        assert scalar[0].n_used + 1 == scalar[1].n_used
 
-    def test_blocks_hold_at_most_the_block_entries(self, monkeypatch):
+    def test_real_axis_and_negative_ordinates(self):
+        points = [complex(0.5, 0.0), complex(0.5, -0.0), complex(2.0, 0.0),
+                  complex(0.25, -0.0), complex(0.5, -14.134725141734693),
+                  complex(0.9, -25.0), complex(0.1, -3000.0), complex(0.5, 25.0)]
+        assert_matches_scalar(points)
+
+    def test_large_t(self):
+        points = [complex(sigma, t) for sigma in (0.1, 0.5, 0.9) for t in (1000.0, 3000.0)]
+        scalar = assert_matches_scalar(points)
+        assert scalar[3].n_used == 2695  # 0.5 + 3000i
+
+    def test_series_spans_two_chunks(self):
+        points = [complex(sigma, t) for sigma in (0.1, 0.5, 0.9) for t in (5000.0, -5000.0)]
+        scalar = assert_matches_scalar(points)
+        assert all(series._CHUNK < v.n_used <= 2 * series._CHUNK for v in scalar)
+
+    def test_points_span_several_blocks(self, monkeypatch):
+        # zeta_hat_eta_line cuts the ordinates, in order, into blocks of as
+        # many rows as fit in _BLOCK_ENTRIES terms
         blocks = []
 
         def spy(z, *streams):
@@ -46,16 +102,32 @@ class TestRowsStandAlone:
         ts = ScanWindow(41.7, 61.7, 0.05).grid()
         n = line_length(ts[-1])
         zeta_hat_eta_line(ts, n)
+        monkeypatch.undo()
         rows = series._BLOCK_ENTRIES // n  # 53 rows of 77 terms
         assert blocks == [len(ts[b:b + rows]) for b in range(0, len(ts), rows)]
         assert len(blocks) == 8
+        assert_rows_stand_alone([complex(0.5, t) for t in ts], n)
 
-    @pytest.mark.parametrize("t", [0.0, -0.0, 14.134725141734693, -25.0, 3000.0, 4600.0])
-    def test_row_at_the_points_own_length_is_the_scalar_value(self, t):
-        sv = zeta_hat_eta(complex(0.5, t))
-        assert hexes(zeta_hat_eta_line([t], sv.n_used)) == hexes([sv.value])
+    def test_lengths_across_the_chunk_boundary(self):
+        # series of about 3985 to 4255 terms, on both sides of the 4096-term
+        # chunk, with short ones among them
+        points = [complex(0.5, t) for t in (4400.0, 20.0, 4500.0, 4550.0, 4650.0, 25.0, 4700.0)]
+        scalar = assert_matches_scalar(points)
+        assert min(v.n_used for v in scalar) < 64
+        assert min(v.n_used for v in scalar[::2]) < series._CHUNK < max(v.n_used for v in scalar)
+        # at the window's one length, two chunks each, one row per block
+        n = line_length(4700.0)
+        assert series._CHUNK < n < 2 * series._CHUNK
+        assert_rows_stand_alone(points + [complex(0.5, -4600.0)], n)
 
-    def test_no_ordinates(self):
+    def test_order_of_points_does_not_matter(self):
+        ts = [41.7 + 0.37 * i for i in range(30)]
+        n = line_length(ts[-1])
+        forward = zeta_hat_eta_line(ts, n)
+        backward = zeta_hat_eta_line(ts[::-1], n)
+        assert hexes(forward) == hexes(backward[::-1])
+
+    def test_empty_batch(self):
         assert zeta_hat_eta_line([], line_length(20.0)) == []
 
 
@@ -92,7 +164,7 @@ class TestInvalidPoint:
         (complex(-0.5, math.inf), ValueError),
         (complex(0.0, 1e20), DomainError),
     ])
-    def test_scalar_call_raises(self, bad, error):
+    def test_raises_what_the_scalar_call_raises(self, bad, error):
         with pytest.raises(error) as raised:
             zeta_hat_eta(bad)
         assert type(raised.value) is error

@@ -181,15 +181,17 @@ class TestAccumulator:
             assert [(v.real.hex(), v.imag.hex()) for v in map(complex, both)] == \
                 [(v.real.hex(), v.imag.hex()) for v in map(complex, alone)]
 
-    def test_weighted_rows_across_chunks(self):
-        # one term matrix of 4200-term rows, off the line too: each row's sum
+    def test_rows_of_different_lengths_across_chunks(self):
+        # one term matrix of rows per length, off the line too, the series
+        # ending before, at and after the first chunk's end: each row's sum
         # is the sum it has alone
         z = np.array([0.5 + 300.0j, 0.3 + 20.0j, 0.9 - 4600.0j, 0.5 + 4601.0j])
-        n = 4200
-        ((rows,),) = _partial_sums(z, _Stream((n,), series._borwein_weights(n)))
-        for zi, row in zip(z, rows):
-            ((alone,),) = _partial_sums([zi], _Stream((n,), series._borwein_weights(n)))
-            assert (row.real, row.imag) == (alone[0].real, alone[0].imag)
+        for n in (100, 4095, 4096, 4200):
+            weights = series._borwein_weights(n)
+            ((rows,),) = _partial_sums(z, _Stream((n,), weights))
+            for zi, row in zip(z, rows):
+                ((alone,),) = _partial_sums([zi], _Stream((n,), weights))
+                assert (row.real, row.imag) == (alone[0].real, alone[0].imag)
 
     @pytest.mark.parametrize("z", [complex(0.05, 3.0), complex(0.5, 14.134725141734693),
                                    complex(0.9, -1000.0)])

@@ -119,11 +119,24 @@ class TestScan:
         assert len(records) == 1
         assert abs(records[0].ordinate - oracles.ZERO_ORDINATES_FIRST10[0]) <= 1e-12
 
-    @pytest.mark.parametrize("t_min,t_max,count", [(77.1, 97.1, 9), (2990.0, 3010.0, 19)])
-    def test_a_cold_scan_builds_one_weight_vector(self, t_min, t_max, count):
-        # the grid and the refinement share the window's one Borwein length
+    def test_refinement_reuses_the_grids_weights(self, monkeypatch):
+        # the grid builds the window's one weight vector, and refinement
+        # finds it still cached
         _borwein_weights.cache_clear()
-        assert len(scan_zeros(ScanWindow(t_min, t_max, 0.05))) == count
+        misses = []
+        evaluate = zeros._evaluate
+
+        def counted(ts, n):
+            result = evaluate(ts, n)
+            misses.append(_borwein_weights.cache_info().misses)
+            return result
+        monkeypatch.setattr(zeros, "_evaluate", counted)
+        assert len(scan_zeros(ScanWindow(77.1, 97.1, 0.05))) == 9
+        assert misses[0] == 1 and len(misses) > 1 and misses[-1] == 1
+
+    def test_a_cold_scan_at_t_3000_builds_one_weight_vector(self):
+        _borwein_weights.cache_clear()
+        assert len(scan_zeros(ScanWindow(2990.0, 3010.0, 0.05))) == 19
         assert _borwein_weights.cache_info().misses == 1
 
     def test_refinement_steps_every_bracket_together(self, monkeypatch):
