@@ -40,13 +40,11 @@ from .functional_equation import (
 )
 from .series import (
     SeriesValue,
-    eta_partial,
     identity_residual_plain,
     identity_residual_regularized,
     zeta_hat_eta,
     zeta_hat_regularized,
     zeta_hat_regularized_schedule,
-    zeta_partial,
 )
 from .special_functions import GUARD_RADIUS, log_gamma
 from .zeros import (
@@ -91,7 +89,6 @@ __all__ = [
     "ZetaLabError",
     "crosscheck_zeros",
     "error_scaling_scan",
-    "eta_partial",
     "exponent_gap",
     "functional_equation_residual",
     "h_doubling",
@@ -109,5 +106,4 @@ __all__ = [
     "zeta_hat_eta",
     "zeta_hat_regularized",
     "zeta_hat_regularized_schedule",
-    "zeta_partial",
 ]

@@ -2,8 +2,8 @@
 
 Four objects are computed here, all from partial sums of k^(-z):
 
-* ``zeta_partial``          zeta_n(z)  = sum_{k<=n} k^(-z)
-* ``eta_partial``           xi_n(z)    = sum_{k<=n} (-1)^(k-1) k^(-z)
+* ``partial_sums``          zeta_n(z)  = sum_{k<=n} k^(-z) and
+                            xi_n(z)    = sum_{k<=n} (-1)^(k-1) k^(-z)
 * ``zeta_hat_regularized``  zhat_n(z)  = zeta_n(z) - n^(1-z)/(1-z)
 * ``zeta_hat_eta``          zhat(z)    = xi(z) / (1 - 2^(1-z)), with xi(z)
                             P. Borwein's weighted alternating sum
@@ -24,6 +24,10 @@ only on the point and on m, results are deterministic, and accumulation
 noise stays far below the 1e-10 identity budget even for n = 10^4 sums of
 O(10^4) magnitude near the edge of the strip.  The plain and the alternating
 stream of a point come from one term array.  Public values are IEEE doubles.
+Summed term by term are ``partial_sums``, the identity residuals, the
+Borwein series and a regularized schedule up to its base mark; the
+schedule's later marks are Euler-Maclaurin steps from the base mark (see
+``zeta_hat_regularized_schedule``).
 ``zeta_hat_eta`` sums one point at its own Borwein length.  On the critical
 line, ``zeta_hat_eta_line`` sums many ordinates at one length n, each in its
 own row of one term matrix per block; ``line_length`` gives the n that serves
@@ -32,6 +36,7 @@ every ordinate up to a given |t|, so a zero scan needs one weight vector.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -240,24 +245,6 @@ def _decay_sums(n: int, sigma: float) -> tuple[float, float]:
     return float(np.add.reduce(decay)), float(np.add.reduce(decay * np.log(k)))
 
 
-def zeta_partial(z: complex, n: int) -> complex:
-    """Plain partial sum sum_{k=1..n} k^(-z)."""
-    z = _require_finite(z)
-    n = _require_n(n)
-    _check_overflow(z, n)
-    ((value,),) = _partial_sums(z, _Stream((n,)))
-    return complex(value)
-
-
-def eta_partial(z: complex, n: int) -> complex:
-    """Alternating partial sum sum_{k=1..n} (-1)^(k-1) k^(-z)."""
-    z = _require_finite(z)
-    n = _require_n(n)
-    _check_overflow(z, n)
-    ((value,),) = _partial_sums(z, _Stream((n,), alternating=True))
-    return complex(value)
-
-
 def _require_regular(z: complex) -> None:
     if abs(z - 1.0) <= GUARD_RADIUS:
         raise SingularityError(f"regularized sum undefined at z={z!r} (division by 1-z)")
@@ -273,11 +260,11 @@ def _regularized(z: complex, n: int, plain) -> complex:
 def partial_sums(z: complex, n: int) -> tuple[complex, complex, complex | SingularityError]:
     """(zeta_n(z), xi_n(z), zhat_n(z)) from one term pass.
 
-    Each value is bit for bit what ``zeta_partial``, ``eta_partial`` and
-    ``zeta_hat_regularized`` return; zhat_n is taken from the plain stream.
-    Within ``GUARD_RADIUS`` of z = 1 zhat_n is the SingularityError that
-    ``zeta_hat_regularized`` raises there, returned so that the other two
-    sums are not lost.  Raises what ``zeta_partial`` raises.
+    Each sum is taken term by term; zhat_n, from the plain stream, is bit
+    for bit what ``zeta_hat_regularized`` returns.  Within ``GUARD_RADIUS``
+    of z = 1 zhat_n is the SingularityError that ``zeta_hat_regularized``
+    raises there, returned so that the other two sums are not lost.  Raises
+    ValueError for n < 1 and OverflowError where a term leaves double range.
     """
     z = _require_finite(z)
     n = _require_n(n)
@@ -303,11 +290,19 @@ def zeta_hat_regularized(z: complex, n: int) -> complex:
 
 
 def zeta_hat_regularized_schedule(z: complex, marks: list[int]) -> list[complex]:
-    """zeta_hat_regularized at several truncation indices from one pass.
+    """zeta_hat_regularized at several truncation indices.
 
     ``marks`` must be strictly increasing.  Used by the doubling and scaling
     experiments, which need aligned schedules n, 2n, 4n, ...  Raises
     SingularityError within ``GUARD_RADIUS`` of z = 1.
+
+    The sums are taken term by term only up to the base mark a, the first
+    mark where ``_em_order`` finds a J; every later mark b is then
+    zhat_a + delta(b) - delta(a) (``_em_delta``), off the term-by-term sum
+    by at most ``_em_order``'s bound at a plus its bound at b, and so by at
+    most 2^-51 (Euler-Maclaurin; H. M. Edwards, Riemann's Zeta Function,
+    6.4).  Where no mark has a J, a is the last mark and every sum is taken
+    term by term.
     """
     z = _require_finite(z)
     if not marks:
@@ -316,8 +311,53 @@ def zeta_hat_regularized_schedule(z: complex, marks: list[int]) -> list[complex]
         raise ValueError(f"marks must be strictly increasing and >= 1, got {marks!r}")
     _require_regular(z)
     _check_overflow(z, marks[-1])
-    (values,) = _partial_sums(z, _Stream(tuple(marks)))
-    return [_regularized(z, m, s) for m, s in zip(marks, values)]
+    base, order = next(((i, order) for i, m in enumerate(marks)
+                        if (order := _em_order(z, m)) is not None), (len(marks) - 1, 0))
+    (values,) = _partial_sums(z, _Stream(tuple(marks[:base + 1])))
+    head = [_regularized(z, m, s) for m, s in zip(marks, values)]
+    start = head[-1] - _em_delta(z, marks[base], order)
+    return head + [start + _em_delta(z, b, order) for b in marks[base + 1:]]
+
+
+#: B_2j / (2j)! for j = 1..11: the Euler-Maclaurin coefficients of
+#: ``_em_delta`` up to J = 10, and of the first omitted term at J = 10.
+_EM_COEFFS = (
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18,
+)
+
+
+def _em_order(z: complex, x: int) -> int | None:
+    """The least J <= 10 whose Euler-Maclaurin remainder at x is <= 2^-52.
+
+    zeta(z) = zhat_x(z) - delta(x) + R_J(x), and H. Rademacher's bound
+    (Topics in Analytic Number Theory, 1973) is |R_J(x)| <= |z+2J+1| /
+    (Re z+2J+1) |T_{J+1}(x)| for Re z > -2J-1, where T_j(x) = B_2j/(2j)!
+    (z)_{2j-1} x^(1-z-2j) and (z)_m = z (z+1) ... (z+m-1).  None if no J
+    qualifies.  T_{J+1}(x) / x^(-z) is built from T_J by a ratio, so the
+    Pochhammer symbol never overflows by itself.
+    """
+    x = float(x)
+    size = math.exp(-z.real * math.log(x))
+    ratio = z / x
+    for order, coeff in enumerate(_EM_COEFFS):
+        slope = z.real + 2 * order + 1
+        if slope > 0.0 and abs(z + 2 * order + 1) / slope * abs(coeff * ratio) * size <= _EPS:
+            return order
+        ratio *= (z + 2 * order + 1) * (z + 2 * order + 2) / (x * x)
+    return None
+
+
+def _em_delta(z: complex, x: int, order: int) -> complex:
+    """delta(x) = x^(-z) / 2 - sum_{j<=order} T_j(x) in double precision."""
+    x = float(x)
+    ratio, acc = z / x, 0.5
+    for j in range(order):
+        acc -= _EM_COEFFS[j] * ratio
+        ratio *= (z + 2 * j + 1) * (z + 2 * j + 2) / (x * x)
+    return acc * cmath.exp(-z * math.log(x))
 
 
 def _eta_prefactor(z: complex) -> complex:
@@ -330,6 +370,10 @@ def _eta_prefactor(z: complex) -> complex:
     return prefactor
 
 
+#: Re z from which ``_log_scale`` takes the Gamma ratio from Stirling's series.
+_STIRLING_SIGMA = 2.0 ** 20
+
+
 def _log_scale(z: complex, prefactor: complex) -> float:
     """ln of Borwein's truncation bound at z for n = 0, over 2^-52.
 
@@ -337,10 +381,17 @@ def _log_scale(z: complex, prefactor: complex) -> float:
     Gamma(Re z) / (d_n |Gamma(z)| |1-2^(1-z)|) with d_n > (3+sqrt 8)^n / 2;
     his published bound omits Gamma(Re z) and fails for small and for large
     Re z.  |Gamma(z)| = |Gamma(z+1)| / |z| keeps clear of the reflection
-    formula.
+    formula.  From Re z = 2^20 on, where the two log-gammas would cancel in
+    about Re z ln Re z, ln Gamma(s) - Re ln Gamma(z), s = Re z, is the
+    difference of their Stirling series, t arg z - (s - 1/2) ln|z/s|, off by
+    less than 1 / (12 s) < 1e-7.
     """
-    return (math.log(abs(z) / abs(prefactor)) - log_gamma(z + 1.0).real
-            + (math.lgamma(z.real) + _LN_SCALE_CONSTANT))
+    sigma, t = z.real, z.imag
+    if sigma < _STIRLING_SIGMA:
+        return (math.log(abs(z) / abs(prefactor)) - log_gamma(z + 1.0).real
+                + (math.lgamma(z.real) + _LN_SCALE_CONSTANT))
+    return (t * math.atan2(t, sigma) - 0.5 * (sigma - 0.5) * math.log1p((t / sigma) ** 2)
+            - math.log(abs(prefactor)) + _LN_SCALE_CONSTANT)
 
 
 def _borwein_length(log_scale: float, where: str) -> int:

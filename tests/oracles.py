@@ -153,6 +153,20 @@ THETA_SAMPLES = [
     (10000.3, 31863.029702581568219),
 ]
 
+# zhat_n(z) = zeta(z) - zeta(z, n+1) - n^(1-z)/(1-z), with zeta(z, n+1) the
+# Hurwitz tail, at the first mark and the last of the 4096 * 2^j doubling
+# schedule: an oracle for the Euler-Maclaurin steps that sums no terms
+ZHAT_SCHEDULE_SAMPLES = [
+    (complex(0.5, 14.134725141734695), 4096,
+     complex(-0.0018555784902946513, 0.0075887760146260071)),
+    (complex(0.5, 14.134725141734695), 1048576,
+     complex(0.00019043390340428429, -0.00044961480140307933)),
+    (complex(0.25, -20.0), 4096, complex(0.16077782080364450, 1.3616500825467165)),
+    (complex(0.25, -20.0), 1048576, complex(0.23349179704854361, 1.3636117645993079)),
+    (complex(0.1, 3000.0), 4096, complex(-2.4579424402954087, 19.603680230990251)),
+    (complex(0.1, 3000.0), 1048576, complex(-2.1317078518950538, 19.605946825725147)),
+]
+
 # --- doubling constants at the first zero --------------------------------
 
 RHO1 = complex(0.5, 14.1347251417346938)
@@ -249,6 +263,11 @@ def _regenerate(write_table: str | None) -> None:
         print("   siegelz", f(mp.mpf(t)), "->", f(mp.siegelz(mp.mpf(t))))
     for t, _ in THETA_SAMPLES:
         print("   siegeltheta", f(mp.mpf(t)), "->", f(mp.siegeltheta(mp.mpf(t)), 20))
+
+    for z, n, _ in ZHAT_SCHEDULE_SAMPLES:
+        s = mp.mpc(z)
+        zhat = mp.zeta(s) - mp.zeta(s, n + 1) - mp.mpf(n) ** (1 - s) / (1 - s)
+        print("   zhat_n", cpair(s), n, "->", cpair(zhat))
 
     rho1 = mp.zetazero(1)
     print("RHO1 =", cpair(rho1, 18))

@@ -10,12 +10,10 @@ from zetalab import (
     DOUBLING_BUDGET,
     cli,
     error_scaling_scan,
-    eta_partial,
     reference_table_path,
     series,
     zeta_hat_eta,
     zeta_hat_regularized,
-    zeta_partial,
 )
 from zetalab.cli import main, parse_complex, format_complex_flag
 
@@ -65,6 +63,13 @@ class TestEval:
         code, out, err = run_cli(["eval", "--z", "1+0i"], capsys)
         assert code == 1
         assert "PrefactorSingularityError" in out + err
+
+    def test_large_real_part_within_bound(self, capsys):
+        code, out, _ = run_cli(["eval", "--z", "1e20+0i"], capsys)
+        assert code == 0
+        payload = json.loads(out)["results"]["zeta_hat_eta"]
+        value = complex(payload["value"]["re"], payload["value"]["im"])
+        assert abs(value - 1.0) <= payload["est_error"]
 
     def test_malformed_z_is_usage_error(self, capsys):
         code, _, _ = run_cli(["eval", "--z", "abc"], capsys)
@@ -580,10 +585,11 @@ class TestFloatFormat:
         assert code == 0
         report = json.loads(out)
         z = 2 + 0j
+        plain, alternating, _ = series.partial_sums(z, 1000)
         self.assert_same(report["config"], {"n_terms": 1000})
         self.assert_same(report["results"], {
-            "zeta_partial": zeta_partial(z, 1000),
-            "eta_partial": eta_partial(z, 1000),
+            "zeta_partial": plain,
+            "eta_partial": alternating,
             "zeta_hat_regularized": zeta_hat_regularized(z, 1000),
             "zeta_hat_eta": asdict(zeta_hat_eta(z)),
         })

@@ -11,7 +11,6 @@ from zetalab import (
     PrefactorSingularityError,
     ScanWindow,
     SingularityError,
-    eta_partial,
     hardy_z,
     identity_residual_plain,
     identity_residual_regularized,
@@ -19,50 +18,49 @@ from zetalab import (
     zeta_hat_eta,
     zeta_hat_regularized,
     zeta_hat_regularized_schedule,
-    zeta_partial,
 )
 
 from zetalab import cli, series
-from zetalab.series import BORWEIN_BUDGET, _partial_sums, _Stream
+from zetalab.series import BORWEIN_BUDGET, _partial_sums, _Stream, partial_sums
 
 import oracles
 
 
 class TestZetaPartial:
     def test_three_terms_at_two(self):
-        assert abs(zeta_partial(2 + 0j, 3) - 49.0 / 36.0) <= 1e-15
+        assert abs(partial_sums(2 + 0j, 3)[0] - 49.0 / 36.0) <= 1e-15
 
     def test_single_term_is_one(self):
         for z in (0.5 + 14j, 2 + 0j, complex(0.1, -3.7)):
-            assert zeta_partial(z, 1) == 1.0 + 0.0j
+            assert partial_sums(z, 1)[0] == 1.0 + 0.0j
 
     def test_against_summation_oracle(self):
-        got = zeta_partial(oracles.ZETA_PARTIAL_Z1, 1000)
+        got = partial_sums(oracles.ZETA_PARTIAL_Z1, 1000)[0]
         assert abs(got - oracles.ZETA_PARTIAL_Z1_N1000) <= 1e-12
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            zeta_partial(2 + 0j, 0)
+            partial_sums(2 + 0j, 0)
 
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
-            zeta_partial(complex(-400.0, 0.0), 10_000)
+            partial_sums(complex(-400.0, 0.0), 10_000)
 
 
 class TestEtaPartial:
     def test_single_term(self):
-        assert eta_partial(complex(0.3, 9.0), 1) == 1.0 + 0.0j
+        assert partial_sums(complex(0.3, 9.0), 1)[1] == 1.0 + 0.0j
 
     def test_two_terms_at_one(self):
-        assert abs(eta_partial(1 + 0j, 2) - 0.5) <= 1e-16
+        assert abs(partial_sums(1 + 0j, 2)[1] - 0.5) <= 1e-16
 
     def test_partial_sum_matches_oracle(self):
-        got = eta_partial(0.5 + 0j, 10_000)
+        got = partial_sums(0.5 + 0j, 10_000)[1]
         assert abs(got - oracles.ETA_PARTIAL_HALF_N10000) <= 1e-12
 
     def test_distance_to_limit(self):
         # the plain alternating sum sits ~(1/2) (n+1)^(-1/2) from eta(1/2)
-        got = eta_partial(0.5 + 0j, 10_000)
+        got = partial_sums(0.5 + 0j, 10_000)[1]
         assert abs(got - oracles.ETA_HALF) <= 5e-3
         assert abs(abs(got - oracles.ETA_HALF) - oracles.ETA_PARTIAL_HALF_DELTA) <= 1e-10
 
@@ -94,6 +92,97 @@ class TestZetaHatRegularized:
             zeta_hat_regularized_schedule(0.5 + 3j, [10, 10])
 
 
+EPS = 2.0 ** -52
+#: The doubling schedule of 2^20 terms: n_base = 4096, m = 8.
+DOUBLING_MARKS = [4096 << j for j in range(9)]
+
+
+def direct_schedule(z, marks):
+    """zhat_n at every mark, each summed term by term."""
+    (sums,) = _partial_sums(z, _Stream(tuple(marks)))
+    return [series._regularized(z, m, s) for m, s in zip(marks, sums)]
+
+
+def direct_rounding(z, marks):
+    """First-order bound on the rounding of a term-by-term sum to each mark:
+    eps (3 + |z| ln k) k^(-Re z) per term, as in ``series._rounding_bound``."""
+    k = np.arange(1.0, marks[-1] + 1.0)
+    bound = np.cumsum(EPS * (3.0 + abs(z) * np.log(k)) * k ** -z.real)
+    return [float(bound[m - 1]) for m in marks]
+
+
+def delta_rounding(z, x):
+    """First-order bound on the rounding of series._em_delta(z, x, J): x^(-z)
+    is off by (2 + |z| ln x) eps relative, the bracket by eps."""
+    return EPS * (3.0 + abs(z) * math.log(x)) * x ** -z.real
+
+
+def off_zero_controls():
+    """The 20 off-zero controls of acceptance criterion 6, drawn as it draws them."""
+    zeros = oracles.ZERO_ORDINATES_FIRST10
+    rng = np.random.default_rng(20_240_606)
+    controls = []
+    while len(controls) < 20:
+        z = complex(rng.uniform(0.45, 0.55), rng.uniform(5.0, 45.0))
+        if min(abs(z.imag - t) for t in zeros) < 0.5:
+            continue
+        if abs(zeta_hat_eta(z).value) < 0.5 or abs(zeta_hat_eta(1.0 - z).value) < 0.5:
+            continue
+        controls.append(z)
+    return controls
+
+
+class TestEulerMaclaurinSchedule:
+    # a schedule is summed term by term to its base mark, the first with an
+    # Euler-Maclaurin order; each later mark b is then off the term-by-term
+    # sum by at most 2^-51, the remainder bounds at the base mark and at b,
+    # plus the rounding of the two term-by-term sums
+
+    @staticmethod
+    def base(z, marks):
+        return next(m for m in marks if series._em_order(z, m) is not None)
+
+    @pytest.mark.parametrize("z", [complex(0.5, t) for t in oracles.ZERO_ORDINATES_FIRST10]
+                             + [complex(0.75, 20.0), 1.0 - complex(0.75, 20.0),
+                                complex(0.1, 3000.0)])
+    def test_against_direct(self, z):
+        self.assert_near_direct(z)
+
+    def test_against_direct_at_controls(self):
+        for z in off_zero_controls():
+            self.assert_near_direct(z)
+
+    def assert_near_direct(self, z):
+        assert self.base(z, DOUBLING_MARKS) == 4096
+        direct = direct_schedule(z, DOUBLING_MARKS)
+        rounding = direct_rounding(z, DOUBLING_MARKS)
+        schedule = zeta_hat_regularized_schedule(z, DOUBLING_MARKS)
+        assert schedule[0] == direct[0]
+        for value, want, bound in zip(schedule, direct, rounding):
+            assert abs(value - want) <= 2.0 ** -51 + rounding[0] + bound, (z, value, want)
+
+    def test_steps_against_oracle(self):
+        # the Hurwitz oracle has no rounding: the step from the base mark
+        # carries only the remainder bounds and the rounding of the deltas
+        samples = oracles.ZHAT_SCHEDULE_SAMPLES
+        for (z, a, exact_a), (_, b, exact_b) in zip(samples[::2], samples[1::2]):
+            assert self.base(z, [a, b]) == a
+            value_a, value_b = zeta_hat_regularized_schedule(z, [a, b])
+            bound = (2.0 ** -51 + delta_rounding(z, a) + delta_rounding(z, b)
+                     + 2.0 * EPS * (abs(value_a) + abs(value_b)))
+            assert abs((value_b - exact_b) - (value_a - exact_a)) <= bound, z
+
+    def test_marks_below_base_are_direct(self):
+        z, marks = complex(0.5, 3000.0), [64, 128, 256]
+        assert all(series._em_order(z, m) is None for m in marks)
+        assert zeta_hat_regularized_schedule(z, marks) == direct_schedule(z, marks)
+
+    def test_base_grows_with_t(self):
+        marks = [1 << j for j in range(25)]
+        bases = [self.base(complex(0.5, t), marks) for t in (0.0, 10.0, 100.0, 1000.0, 10000.0)]
+        assert bases == sorted(set(bases)), bases
+
+
 class TestZetaHatEta:
     def test_prefactor_singularities(self):
         with pytest.raises(PrefactorSingularityError):
@@ -115,6 +204,20 @@ class TestZetaHatEta:
         for z, expected in oracles.ZETA_SAMPLES:
             sv = zeta_hat_eta(z)
             assert abs(sv.value - expected) <= 1e-10, z
+
+    @pytest.mark.parametrize("sigma", [3e15, 3e16, 1e20])
+    @pytest.mark.parametrize("t", [0.0, 100.0])
+    def test_large_real_part(self, sigma, t):
+        # zeta(z) = 1 to double precision there; ln Gamma(Re z) - Re ln Gamma(z)
+        # is taken from Stirling's series, as the two log-gammas would cancel
+        sv = zeta_hat_eta(complex(sigma, t))
+        assert abs(sv.value - 1.0) <= sv.est_error
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 100.0, 1e4])
+    def test_log_scale_continuous_at_stirling_switch(self, t):
+        at = complex(series._STIRLING_SIGMA, t)
+        below = complex(math.nextafter(at.real, 0.0), t)
+        assert abs(series._log_scale(at, 1.0) - series._log_scale(below, 1.0)) <= 1e-8
 
 
 class TestZetaHatEtaLongSums:
@@ -346,14 +449,13 @@ class TestRepresentationConsistency:
     def test_agrees_with_plain_zeta_right_of_strip(self):
         for z in (2 + 0j, 3 + 0j, 2 + 5j):
             sv = zeta_hat_eta(z)
-            assert abs(sv.value - zeta_partial(z, 1_000_000)) <= 1e-4
+            assert abs(sv.value - partial_sums(z, 1_000_000)[0]) <= 1e-4
 
 
 class TestDeterminismAndSymmetry:
     def test_bit_identical_repeats(self):
         z = complex(0.37, 18.25)
-        assert zeta_partial(z, 5000) == zeta_partial(z, 5000)
-        assert eta_partial(z, 5000) == eta_partial(z, 5000)
+        assert partial_sums(z, 5000) == partial_sums(z, 5000)
         first = zeta_hat_eta(z)
         second = zeta_hat_eta(z)
         assert first == second
@@ -363,8 +465,8 @@ class TestDeterminismAndSymmetry:
         for _ in range(50):
             z = complex(rng.uniform(0.05, 0.95), rng.uniform(0.0, 50.0))
             n = int(rng.integers(1, 3000))
-            for fn in (lambda w: zeta_partial(w, n),
-                       lambda w: eta_partial(w, n),
+            for fn in (lambda w: partial_sums(w, n)[0],
+                       lambda w: partial_sums(w, n)[1],
                        lambda w: zeta_hat_eta(w).value):
                 a = fn(z.conjugate())
                 b = fn(z).conjugate()
