@@ -19,7 +19,7 @@ doubling.  No flag sets the singularity guard; points within
 
 Every JSON report is written by ``_write_report``: its manifest parameters
 are every parsed flag except --out.  Results hold library values as they
-are, complex numbers and records (``asdict``) included;
+are, complex numbers and records (``_fields``) included;
 ``reporting.json_dumps`` writes complex values as {"re", "im"} and every
 float as its shortest round-trip decimal.  Repeated runs with identical flags
 produce byte-identical config and results sections (timestamps are confined
@@ -34,7 +34,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from datetime import datetime, timezone
 
 from .errors import BudgetError, ZetaLabError
@@ -100,6 +100,11 @@ def format_complex_flag(z: complex) -> str:
     return f"{format_float(z.real)}{'+' if z.imag >= 0 else '-'}{format_float(abs(z.imag))}i"
 
 
+def _fields(record) -> dict:
+    # dataclasses.asdict without the deep copy that flat records do not need
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def _emit(text: str, out_path) -> None:
     if out_path:
         atomic_write_text(out_path, text)
@@ -156,7 +161,7 @@ def cmd_eval(args) -> int:
     for name, value in zip(("zeta_partial", "eta_partial", "zeta_hat_regularized"), sums):
         record(name, value)
     try:
-        record("zeta_hat_eta", asdict(zeta_hat_eta(z)))
+        record("zeta_hat_eta", _fields(zeta_hat_eta(z)))
     except (ZetaLabError, OverflowError) as exc:
         record("zeta_hat_eta", exc)
 
@@ -238,7 +243,7 @@ def cmd_zeros(args) -> int:
     records = scan_zeros(window, tolerance=args.tolerance)
     results: dict = {
         "window": {"t_min": window.t_min, "t_max": window.t_max, "step": window.step},
-        "zeros": [asdict(r) for r in records],
+        "zeros": [_fields(r) for r in records],
     }
 
     exit_code = 0
@@ -249,7 +254,7 @@ def cmd_zeros(args) -> int:
         results["crosscheck"] = {
             "reference_path": str(args.reference),
             "tolerance": report.tolerance,
-            "matched": [asdict(m) for m in report.matched],
+            "matched": [_fields(m) for m in report.matched],
             "unmatched_found": [r.ordinate for r in report.unmatched_found],
             "unmatched_reference": report.unmatched_reference,
             "max_delta": report.max_delta,
@@ -407,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_zeros.add_argument("--match-tol", type=_positive_float, default=1e-6)
     p_zeros.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_zeros.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                         help="bound on |zhat| at each zero (default %(default)s)")
+                         help="bound on |zeta| at each zero (default %(default)s)")
     p_zeros.set_defaults(handler=cmd_zeros)
 
     # no abbreviations, so that a stray evaluation-config flag such as --n is

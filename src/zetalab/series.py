@@ -24,14 +24,11 @@ only on the point and on m, results are deterministic, and accumulation
 noise stays far below the 1e-10 identity budget even for n = 10^4 sums of
 O(10^4) magnitude near the edge of the strip.  The plain and the alternating
 stream of a point come from one term array.  Public values are IEEE doubles.
-Summed term by term are ``partial_sums``, the identity residuals, the
-Borwein series and a regularized schedule up to its base mark; the
-schedule's later marks are Euler-Maclaurin steps from the base mark (see
-``zeta_hat_regularized_schedule``).
-``zeta_hat_eta`` sums one point at its own Borwein length.  On the critical
-line, ``zeta_hat_eta_line`` sums many ordinates at one length n, each in its
-own row of one term matrix per block; ``line_length`` gives the n that serves
-every ordinate up to a given |t|, so a zero scan needs one weight vector.
+A regularized schedule is summed term by term up to its base mark, and its
+later marks are Euler-Maclaurin steps.  ``zeta_hat_eta`` sums one point at
+its own Borwein length.  On the critical line, ``hardy_z_line`` gives Hardy's
+Z(t) at many ordinates by Euler-Maclaurin: the plain sum of n terms and m
+Bernoulli terms, from one ``line_plan`` (n, m) per window and no weights.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DomainError, PrefactorSingularityError, SingularityError
-from .special_functions import GUARD_RADIUS, LN_2, _require_finite, log_gamma
+from .special_functions import GUARD_RADIUS, LN_2, LN_PI, _require_finite, log_gamma
 
 _LD = np.clongdouble
 _RD = np.longdouble
@@ -52,12 +49,9 @@ _LD_ZERO = _LD(0.0)
 
 
 def _require_extended_precision(finfo: np.finfo) -> None:
-    """Refuse a ``longdouble`` with less than the x87 64-bit significand.
-
-    The accuracy of the sums and ``_rounding_bounds``' claim that their
-    accumulation is negligible hold only with at least that precision; where
-    ``longdouble`` is double (MSVC, macOS on arm64) they would silently not.
-    """
+    """Refuse a ``longdouble`` with less than the x87 64-bit significand: the
+    sums' accuracy and ``_rounding_bound`` rely on it, and where it is double
+    (MSVC, macOS on arm64) they would silently fail."""
     if finfo.nmant < 63:
         raise ImportError(f"zetalab needs numpy's longdouble to have a 64-bit significand or "
                           f"more; here it is {finfo.dtype} with {finfo.nmant + 1} bits")
@@ -76,23 +70,18 @@ _LN_BORWEIN_RATE = math.log(3.0 + math.sqrt(8.0))
 
 #: Target of the Borwein truncation bound, and the unit of the rounding bound.
 _EPS = 2.0 ** -52
-_LN_EPS = math.log(_EPS)
+_LN_SCALE_CONSTANT = LN_2 - math.log(_EPS)  # the constant part of ``_log_scale``
 
-# the constant parts of ``_log_scale`` and of ``line_length``'s log scale
-_LN_SCALE_CONSTANT = LN_2 - _LN_EPS
-_LN_LINE_SCALE = _LN_SCALE_CONSTANT - math.log(math.sqrt(2.0) - 1.0)
-
-#: Ordinates x terms per block of ``zeta_hat_eta_line``: the rows of a block
-#: share one term matrix of at most 64 KB (16 bytes an entry).  The 401-point
-#: scan grid of [41.7, 61.7] (n = 77) takes 8 blocks of up to 53 rows; a
-#: series of 4096 terms or more fills a block alone.
-_BLOCK_ENTRIES = 1 << 12
-
-#: Longest Borwein series accepted.  Its weights are n exact integers of O(n)
-#: bits, so their time and memory grow as n^2; this length covers |Im z| up
-#: to about 1.8e4 in the strip, and one cold build of its weights takes about
-#: 0.6 s and 70 MB of peak memory (Python 3.11 on a Xeon core).
+#: Longest Borwein series accepted, for |Im z| up to about 1.8e4.  Its weights
+#: are n exact integers of O(n) bits: one cold build of this length takes
+#: about 0.6 s and 70 MB of peak memory (Python 3.11 on a Xeon core).
 BORWEIN_BUDGET = 1 << 14
+
+#: Longest Euler-Maclaurin sum accepted on the critical line: |t| up to about 1.8e5.
+LINE_BUDGET = 1 << 15
+
+#: From this ordinate on, theta(t) is taken from its asymptotic series.
+THETA_SERIES_FROM = 10.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,23 +169,26 @@ def _partial_sums(z, *streams: _Stream) -> list[list]:
     """Stream the partial sums of k^(-z) from one term pass.
 
     ``z`` is one point or a 1-D array of points, one row each of the term
-    matrix exp(-z ln k), which is made chunk by chunk, as wide as the
-    longest stream.  Returns the ``sums`` of each stream.  Streams are taken
-    in order and change the chunk in place, so a plain stream goes before an
-    alternating one, and a weighted one goes alone.
-
-    The sum at mark m is the total of the whole chunks before it, added
-    chunk by chunk, plus one pairwise sum of its own chunk up to m; no
-    prefix sums are formed.  Every row is summed on its own, so its sums
-    depend only on the point, its weights and m, not on the other rows,
-    streams or marks.
+    matrix exp(-z ln k), made chunk by chunk as wide as the longest stream.
+    Returns the ``sums`` of each stream.  Streams change the chunk in place,
+    in order, so a plain stream goes before an alternating one, and a
+    weighted one goes alone.  The sum at mark m is the chunk totals before it
+    plus one pairwise sum of its own chunk up to m, row by row, so it depends
+    only on the point, its weights and m.
     """
     rows = np.asarray(z, dtype=complex)[..., np.newaxis]
     n = max(stream.marks[-1] for stream in streams)
+    # only a point of |z| ln n > 1e308 overflows -z ln k, and a Re z that large makes
+    # each term past k = 1 exactly 0; np.errstate costs 1.5 µs, so only it enters one
+    quiet = isinstance(z, complex) and abs(z) * math.log(n) > 1e308
     for k0 in range(1, n + 1, _CHUNK):
         k1 = min(k0 + _CHUNK, n + 1)
         log_k = _first_logs()[:k1 - 1] if k0 == 1 else np.log(np.arange(k0, k1, dtype=float))
-        terms = np.exp(-rows * log_k)
+        if quiet:
+            with np.errstate(over="ignore"):
+                terms = np.exp(-rows * log_k)
+        else:
+            terms = np.exp(-rows * log_k)
         for stream in streams:
             if stream.marks[-1] >= k0:
                 stream.take(terms, k0, k1)
@@ -217,11 +209,9 @@ def _borwein_weights(n: int) -> np.ndarray:
 
     d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!) are exact integers, so
     each e_k is one correctly rounded division; the alternating sign is
-    folded in, and the array is complex.  It is cached, so it is read-only.
-    A zero scan needs one length; the cache serves the one-point calls of
-    ``zeta_hat_eta`` (``eval``, the residual grid, the ``errscan``
-    reference), whose length changes about every 1.1 in |Im z|, so that a
-    process that evaluates many points builds each length once.
+    folded in, and the array is complex.  It is cached, so it is read-only:
+    a process that evaluates many points builds each length, which changes
+    about every 1.1 in |Im z|, once.
     """
     summand, d = 1, [1]  # the i = 0 summand is d_0 = 1
     for i in range(1, n + 1):
@@ -290,19 +280,14 @@ def zeta_hat_regularized(z: complex, n: int) -> complex:
 
 
 def zeta_hat_regularized_schedule(z: complex, marks: list[int]) -> list[complex]:
-    """zeta_hat_regularized at several truncation indices.
+    """zeta_hat_regularized at several strictly increasing truncation indices.
 
-    ``marks`` must be strictly increasing.  Used by the doubling and scaling
-    experiments, which need aligned schedules n, 2n, 4n, ...  Raises
-    SingularityError within ``GUARD_RADIUS`` of z = 1.
-
-    The sums are taken term by term only up to the base mark a, the first
-    mark where ``_em_order`` finds a J; every later mark b is then
-    zhat_a + delta(b) - delta(a) (``_em_delta``), off the term-by-term sum
-    by at most ``_em_order``'s bound at a plus its bound at b, and so by at
-    most 2^-51 (Euler-Maclaurin; H. M. Edwards, Riemann's Zeta Function,
-    6.4).  Where no mark has a J, a is the last mark and every sum is taken
-    term by term.
+    Raises SingularityError within ``GUARD_RADIUS`` of z = 1.  The sums are
+    taken term by term only up to the base mark a, the first mark where
+    ``_em_order`` finds a J; every later mark b is zhat_a + delta(b) -
+    delta(a) (``_em_delta``), off the term-by-term sum by at most 2^-51
+    (Euler-Maclaurin; H. M. Edwards, Riemann's Zeta Function, 6.4).  Where
+    no mark has a J, a is the last mark and every sum is taken term by term.
     """
     z = _require_finite(z)
     if not marks:
@@ -319,30 +304,32 @@ def zeta_hat_regularized_schedule(z: complex, marks: list[int]) -> list[complex]
     return head + [start + _em_delta(z, b, order) for b in marks[base + 1:]]
 
 
-#: B_2j / (2j)! for j = 1..11: the Euler-Maclaurin coefficients of
-#: ``_em_delta`` up to J = 10, and of the first omitted term at J = 10.
+#: B_2j / (2j)! for j = 1..150, the Euler-Maclaurin coefficients: literals up
+#: to j = 11, then (-1)^(j+1) 2 zeta(2j) / (2 pi)^(2j), zeta(2j) summed to k = 6
+#: (7^-24 < 2^-67) and the rounding of 2 pi restored to first order.
 _EM_COEFFS = (
     0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
     -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
     1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
     -2.174868698558062e-16, 5.5090028283602295e-18,
-)
+) + tuple((2.0 if j % 2 else -2.0) * (sum(k ** (-2.0 * j) for k in range(6, 1, -1)) + 1.0)
+          / (math.tau ** (2 * j) * (1.0 + 2 * j * 2.4492935982947064e-16 / math.tau))
+          for j in range(12, 151))
 
 
-def _em_order(z: complex, x: int) -> int | None:
-    """The least J <= 10 whose Euler-Maclaurin remainder at x is <= 2^-52.
+def _em_order(z: complex, x: int, orders: int = 10) -> int | None:
+    """The least J <= ``orders`` whose Euler-Maclaurin remainder at x is <= 2^-52.
 
     zeta(z) = zhat_x(z) - delta(x) + R_J(x), and H. Rademacher's bound
     (Topics in Analytic Number Theory, 1973) is |R_J(x)| <= |z+2J+1| /
     (Re z+2J+1) |T_{J+1}(x)| for Re z > -2J-1, where T_j(x) = B_2j/(2j)!
-    (z)_{2j-1} x^(1-z-2j) and (z)_m = z (z+1) ... (z+m-1).  None if no J
-    qualifies.  T_{J+1}(x) / x^(-z) is built from T_J by a ratio, so the
-    Pochhammer symbol never overflows by itself.
+    (z)_{2j-1} x^(1-z-2j), (z)_m = z (z+1) ... (z+m-1), built from T_J by a
+    ratio.  None if no J qualifies.
     """
     x = float(x)
     size = math.exp(-z.real * math.log(x))
     ratio = z / x
-    for order, coeff in enumerate(_EM_COEFFS):
+    for order, coeff in enumerate(_EM_COEFFS[:orders + 1]):
         slope = z.real + 2 * order + 1
         if slope > 0.0 and abs(z + 2 * order + 1) / slope * abs(coeff * ratio) * size <= _EPS:
             return order
@@ -377,14 +364,12 @@ _STIRLING_SIGMA = 2.0 ** 20
 def _log_scale(z: complex, prefactor: complex) -> float:
     """ln of Borwein's truncation bound at z for n = 0, over 2^-52.
 
-    Borwein's remainder is below
-    Gamma(Re z) / (d_n |Gamma(z)| |1-2^(1-z)|) with d_n > (3+sqrt 8)^n / 2;
-    his published bound omits Gamma(Re z) and fails for small and for large
-    Re z.  |Gamma(z)| = |Gamma(z+1)| / |z| keeps clear of the reflection
-    formula.  From Re z = 2^20 on, where the two log-gammas would cancel in
-    about Re z ln Re z, ln Gamma(s) - Re ln Gamma(z), s = Re z, is the
-    difference of their Stirling series, t arg z - (s - 1/2) ln|z/s|, off by
-    less than 1 / (12 s) < 1e-7.
+    Borwein's remainder is below Gamma(Re z) / (d_n |Gamma(z)| |1-2^(1-z)|)
+    with d_n > (3+sqrt 8)^n / 2 (his published bound omits Gamma(Re z)).
+    |Gamma(z)| = |Gamma(z+1)| / |z| keeps clear of the reflection formula.
+    From s = Re z = 2^20 on, where the log-gammas would cancel, their
+    difference is that of their Stirling series, t arg z - (s - 1/2) ln|z/s|,
+    off by less than 1 / (12 s) < 1e-7.
     """
     sigma, t = z.real, z.imag
     if sigma < _STIRLING_SIGMA:
@@ -433,58 +418,107 @@ def zeta_hat_eta(z: complex) -> SeriesValue:
                        + _rounding_bound(z, prefactor, value, n))
 
 
-def line_length(t: float) -> int:
-    """The least Borwein length serving every ordinate 1/2 + i t', |t'| <= |t|.
+@functools.lru_cache(maxsize=128)
+def line_plan(t: float) -> tuple[int, int]:
+    """The Euler-Maclaurin plan (n, m) for zeta(1/2 + i t'), |t'| <= |t|.
 
-    On the line |Gamma(z)|^2 = pi / cosh(pi t') = Gamma(1/2)^2 / cosh(pi t')
-    and |1 - 2^(1/2 - i t')| >= sqrt 2 - 1, so ``_log_scale`` there is at
-    most ln 2 + ln cosh(pi t) / 2 - ln(sqrt 2 - 1) - ln 2^-52, which grows
-    with |t|.  The prefactor's modulus spans a factor of 3 + sqrt 8, one
-    term, so n is at most about one term above ``zeta_hat_eta``'s near |t|.
-    Raises ValueError unless t is finite, and BudgetError past the budget.
+    n = ceil(1.15 |t| / 2 pi) + 8 keeps |z| / (2 pi n) below 1 / 1.15, so the
+    terms T_j(n) shrink by 0.76 or faster, and m is the least order whose
+    Rademacher bound (``_em_order``) at 1/2 + i |t| is <= 2^-52, a bound that
+    grows with |t'|: (27, 38) at t = 100, (1839, 121) at t = 10^4.  Raises
+    ValueError unless t is finite, and BudgetError past ``LINE_BUDGET``.
     """
-    t = float(t)
+    t = abs(float(t))
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    x = math.pi * abs(t)
-    # ln cosh x = x - ln 2 + ln(1 + e^(-2x)) stays finite past cosh's range;
-    # from |t| ~ 5.7e307 on, x itself is inf and so is the length
-    log_scale = _LN_LINE_SCALE + 0.5 * (x - LN_2 + math.log1p(math.exp(-2.0 * x)))
-    return _borwein_length(log_scale, f"the critical line up to |t| = {abs(t)!r}")
+    n = t / math.tau * 1.15 + 8.0  # finite for every finite t
+    if n > LINE_BUDGET:
+        raise BudgetError(f"the critical line up to |t| = {t!r} needs an Euler-Maclaurin sum "
+                          f"of {math.ceil(n)} terms, above the budget {LINE_BUDGET}")
+    n = math.ceil(n)
+    return n, _em_order(complex(0.5, t), n, len(_EM_COEFFS) - 1)
 
 
-def zeta_hat_eta_line(ts: list[float], n: int) -> list[complex]:
-    """zhat(1/2 + i t) at each ordinate from the Borwein series of length n.
+@functools.lru_cache(maxsize=16)
+def _line_factors(n: int, m: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """(ln n, p, q, r): T_1(n) / n^(-z) = c_1 z / n and T_{j+1}(n) / T_j(n) =
+    (z + 2j - 1) (z + 2j) c_{j+1} / (c_j n^2), c_j = B_2j / (2j)!, at z = 1/2 + i t
+    are p_j - q_j t^2 + i r_j t, j = 0..m-1."""
+    coeffs = np.array(_EM_COEFFS[:m])
+    scale = np.concatenate(([coeffs[0] / n], coeffs[1:] / coeffs[:-1] / (n * n)))
+    j = np.arange(m, dtype=float)
+    first = j == 0.0
+    return (math.log(n), scale * np.where(first, 0.5, 4.0 * j * j - 0.25),
+            np.where(first, 0.0, scale), scale * np.where(first, 1.0, 4.0 * j))
 
-    With n = ``line_length`` of the largest |t| or more, every truncation
-    bound holds; the values carry no error bound.  The ordinates are summed
-    in blocks of at most ``_BLOCK_ENTRIES`` terms with one weight vector,
-    each in its own row, so a value depends only on its ordinate and n; at
-    the point's own length it is bit for bit ``zeta_hat_eta``'s value.
+
+def _line_zeta(t: np.ndarray, n: int, m: int) -> np.ndarray:
+    """zeta(1/2 + i t) = zeta_n(z) - n^(1-z)/(1-z) - n^(-z)/2 + sum_{j<=m} T_j(n) + R.
+
+    The T_j(n) / n^(-z) of a row are the running product of its factors,
+    summed pairwise, so a value depends only on its ordinate and (n, m).
     """
-    weights = _borwein_weights(n)
-    rows = max(1, _BLOCK_ENTRIES // min(n, _CHUNK))
-    values = []
-    for b in range(0, len(ts), rows):
-        z = [complex(0.5, t) for t in ts[b:b + rows]]
-        ((xi,),) = _partial_sums(np.array(z), _Stream((n,), weights))
-        prefactor = np.array([_eta_prefactor(w) for w in z])
-        values += (xi / prefactor).astype(complex).tolist()
-    return values
+    ln_n, p, q, r = _line_factors(n, m)
+    z = 0.5 + 1j * t
+    t2 = t * t
+    ((plain,),) = _partial_sums(z, _Stream((n,)))
+    factors = np.empty((len(t), m), dtype=complex)
+    np.multiply.outer(t2, q, out=factors.real)
+    np.subtract(p, factors.real, out=factors.real)
+    np.multiply.outer(t, r, out=factors.imag)
+    bernoulli = np.add.reduce(np.cumprod(factors, axis=1, out=factors), axis=1)
+    # n / (1 - z) = n z / (1/4 + t^2) on the line
+    return plain.astype(complex) - np.exp(z * -ln_n) * (z * (n / (0.25 + t2)) + 0.5 - bernoulli)
+
+
+def _theta(t: np.ndarray) -> np.ndarray:
+    """Riemann-Siegel theta(t) at each ordinate, up to 2*pi below ``THETA_SERIES_FROM``.
+
+    From the cut-off on, theta(t) = (t/2) ln(t/(2 pi e)) - pi/8 + 1/(48 t)
+    + 7/(5760 t^3) + 31/(80640 t^5) + 127/(430080 t^7), within 1e-12.
+    Below it, theta(t) = Im(log Gamma(w+1) - log w) - (t/2) ln pi with
+    w = 1/4 + i t/2, where ``log_gamma`` needs no reflection.
+    """
+    low = [i for i, x in enumerate(t.tolist()) if x < THETA_SERIES_FROM]
+    s = t.copy()
+    s[low] = THETA_SERIES_FROM  # the series only from the cut-off on
+    u = 1.0 / s
+    u2 = u * u
+    theta = (0.5 * s * np.log(s / (2.0 * math.pi * math.e)) - math.pi / 8.0 + u * (
+        1.0 / 48.0 + u2 * (7.0 / 5760.0 + u2 * (31.0 / 80640.0 + u2 * (127.0 / 430080.0)))))
+    for i in low:
+        w = complex(0.25, 0.5 * t[i])
+        theta[i] = (log_gamma(w + 1.0) - cmath.log(w)).imag - 0.5 * t[i] * LN_PI
+    return theta
+
+
+def hardy_z_line(ts: list[float], plan: tuple[int, int]) -> tuple[list[float], list[float]]:
+    """(Z(t), |zeta(1/2 + i t)|) at each ordinate, from the plan (n, m).
+
+    Z(t) = Re(exp(i theta) zeta(1/2 + i t)) = cos theta Re zeta - sin theta
+    Im zeta; a phase error e scales Z by cos e, so it cannot move a root.  At
+    the ``line_plan`` of the largest |t|, zeta is within 2^-52 plus rounding.
+    Each ordinate is its own row, so a value depends only on it and the plan.
+    """
+    n, m = plan
+    t = np.array(ts, dtype=float)
+    zeta = np.empty(len(t), dtype=complex)
+    rows = max(1, _CHUNK // n)  # a pass's term matrix holds at most one chunk
+    for b in range(0, len(t), rows):
+        zeta[b:b + rows] = _line_zeta(t[b:b + rows], n, m)
+    return (np.exp(1j * _theta(t)) * zeta).real.tolist(), np.hypot(zeta.real, zeta.imag).tolist()
 
 
 def _rounding_bound(z: complex, prefactor: complex, value: complex, n: int) -> float:
     """First-order rounding bound of a value of series length n.
 
     A term exp(-z ln k) is off by (2 + |z| ln k) eps relative, its weighting
-    by eps (the extended-precision sum, pairwise within each 4096-term chunk
-    and then chunk by chunk, adds about (12 + n/4096) 2^-64, less than
-    |z| ln k eps), 1 - 2^(1-z) absolutely by
+    by eps (the chunked extended-precision sum adds about (12 + n/4096)
+    2^-64, less than |z| ln k eps), 1 - 2^(1-z) absolutely by
     eps (|2^(1-z)| (2 + |1-z|) + |prefactor|), and the division by eps.
-    The terms' part, eps sum_k e_k k^(-Re z) (3 + |z| ln k), is taken as
+    The terms' part, eps sum_k e_k k^(-Re z) (3 + |z| ln k), is
     eps (3 A + |z| B) with A and B from ``_decay_sums``, cached per length
-    and Re z, so a bound depends only on n and its own point.  The rest is
-    a handful of scalar operations on the one point of ``zeta_hat_eta``.
+    and Re z, so a bound depends only on n and its own point.
     """
     a, b = _decay_sums(n, z.real)
     prefactor_bound = 2.0 ** (1.0 - z.real) * (2.0 + abs(1.0 - z)) + 2.0 * abs(prefactor)

@@ -4,9 +4,10 @@ On the line, Hardy's function Z(t) = exp(i theta(t)) zeta(1/2 + i t) is real
 with |Z(t)| = |zeta(1/2 + i t)|, so every zero of odd order is a sign change
 of Z (Edwards, *Riemann's Zeta Function*, ch. 6-7).  A grid scan brackets the
 sign changes and every bracket is refined by the Illinois variant of regula
-falsi, all brackets of a scan in lockstep.  Found zeros are cross-checkable
-against externally ingested reference tables (one decimal ordinate per line,
-'#' comments).
+falsi, all brackets of a scan in lockstep, with zeta by Euler-Maclaurin at
+one plan per window (``series.hardy_z_line``).  Found zeros are
+cross-checkable against externally ingested reference tables (one decimal
+ordinate per line, '#' comments).
 
 The search is restricted to the critical line: the experiments need known
 zeros, and every verified zero lies there.
@@ -14,7 +15,6 @@ zeros, and every verified zero lies there.
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 from dataclasses import dataclass, replace
@@ -29,8 +29,7 @@ from .errors import (
     ParseError,
     WindowTooCoarse,
 )
-from .series import line_length, zeta_hat_eta_line
-from .special_functions import LN_PI, log_gamma
+from .series import hardy_z_line as _evaluate, line_plan
 
 #: Scan steps above this risk skipping zeros below t = 100: two zeros inside
 #: one step cancel each other's sign change.
@@ -41,21 +40,16 @@ MAX_SCAN_STEP = 0.5
 MAX_REFINE_ITERATIONS = 60
 
 #: Largest number of steps in a scan grid (a 3276.8-wide window at step
-#: 0.05); the batched grid pass holds about 0.17 kB per point at once, so
-#: this keeps one scan's memory near 11 MB and its time bounded.
+#: 0.05); a grid holds about 0.15 kB per point at once, and its terms are
+#: made one 64 KB chunk at a time, so this keeps one scan's memory near 10 MB
+#: and its time bounded.
 GRID_BUDGET = 1 << 16
 
-#: From this ordinate on, theta(t) is taken from its asymptotic series; the
-#: first omitted term, 511/(1216512 t^9), is below 1e-12 there.
-THETA_SERIES_FROM = 10.0
-
-#: Default bound on |zhat| at a reported zero.
+#: Default bound on |zeta| at a reported zero.
 DEFAULT_TOLERANCE = 1e-10
 
 #: A plain decimal, unlike ``float`` which also takes '1_000', 'nan' and 'inf'.
 _DECIMAL = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-
-_TWO_PI_E = 2.0 * math.pi * math.e
 
 
 @dataclass(frozen=True)
@@ -95,9 +89,9 @@ class ZeroRecord:
     """A located zero: rho = 1/2 + i * ordinate.
 
     ``index`` is the 1-based position by increasing ordinate within one scan
-    result (0 for a standalone refinement); ``residual_mag`` is |zhat(rho)|
-    at the reported ordinate; ``refined`` is False only for a scan grid point
-    where Z is exactly 0.
+    result (0 for a standalone refinement); ``residual_mag`` is |zeta(rho)|
+    at the reported ordinate, at the scan's plan; ``refined`` is False only
+    for a scan grid point where Z is exactly 0.
     """
 
     index: int
@@ -126,44 +120,10 @@ class CrosscheckReport:
     tolerance: float
 
 
-def _theta(t: float) -> float:
-    """Riemann-Siegel theta(t), up to 2*pi below ``THETA_SERIES_FROM``.
-
-    From the cut-off on, theta(t) = (t/2) ln(t/(2 pi e)) - pi/8 + 1/(48 t)
-    + 7/(5760 t^3) + 31/(80640 t^5) + 127/(430080 t^7) + ...
-    Below it, theta(t) = Im log Gamma(w) - (t/2) ln pi with w = 1/4 + i t/2,
-    taken by Gamma(w+1) = w Gamma(w) as Im(log Gamma(w+1) - log w) -
-    (t/2) ln pi: at Re(w+1) = 5/4 ``log_gamma`` needs no reflection.  The
-    branch is fixed only up to 2*pi, which leaves exp(i theta) unchanged.
-    """
-    if t >= THETA_SERIES_FROM:
-        u = 1.0 / t
-        u2 = u * u
-        return (0.5 * t * math.log(t / _TWO_PI_E) - math.pi / 8.0
-                + u * (1.0 / 48.0 + u2 * (7.0 / 5760.0 + u2 * (31.0 / 80640.0
-                                                                + u2 * (127.0 / 430080.0)))))
-    w = complex(0.25, 0.5 * t)
-    return (log_gamma(w + 1.0) - cmath.log(w)).imag - 0.5 * t * LN_PI
-
-
-def _evaluate(ts: list[float], n: int) -> tuple[list[float], list[float]]:
-    """(Z(t), |zhat(1/2 + i t)|) at each ordinate, from Borwein series of length n.
-
-    Z(t) = Re(exp(i theta(t)) zhat) with ``_theta`` per ordinate; a phase
-    error e scales Re(exp(i e) Z) = Z cos e, so it cannot move a root.  A
-    value depends only on its ordinate and n, so the scan grid and each
-    refinement step, at the window's n, evaluate the same function.
-    """
-    values = zeta_hat_eta_line(ts, n)
-    return ([(cmath.exp(1j * _theta(t)) * v).real for t, v in zip(ts, values)],
-            [abs(v) for v in values])
-
-
 def hardy_z(t: float) -> float:
-    """Hardy's Z(t) = Re(exp(i theta(t)) zhat(1/2 + i t)), real on the line,
-    with zhat at n = ``line_length(t)``."""
+    """Hardy's Z(t) = exp(i theta(t)) zeta(1/2 + i t), real, at ``line_plan(t)``."""
     t = float(t)
-    return _evaluate([t], line_length(t))[0][0]
+    return _evaluate([t], line_plan(t))[0][0]
 
 
 def _require_tolerance(tolerance: float, name: str = "tolerance") -> None:
@@ -177,21 +137,22 @@ def _checked(t: float, residual: float, tolerance: float, where: str,
              refined: bool) -> ZeroRecord:
     if residual > tolerance:
         raise NoConvergence(
-            f"|zhat| = {residual:.3e} above tolerance {tolerance:.1e} at t={t!r} "
+            f"|zeta| = {residual:.3e} above tolerance {tolerance:.1e} at t={t!r} "
             f"({where}); the tolerance is too tight for this zero"
         )
     return ZeroRecord(index=0, ordinate=t, residual_mag=residual, refined=refined)
 
 
-def _refine(brackets: list[tuple[float, float, float, float]], n: int) -> list[tuple[float, float]]:
-    """(last iterate, |zhat| there) of each sign-change bracket (t_lo, t_hi, Z(t_lo), Z(t_hi)).
+def _refine(brackets: list[tuple[float, float, float, float]],
+            plan: tuple[int, int]) -> list[tuple[float, float]]:
+    """(last iterate, |zeta| there) of each sign-change bracket (t_lo, t_hi, Z(t_lo), Z(t_hi)).
 
     The brackets are refined in lockstep: each Illinois step of every bracket
-    still running is one ``_evaluate`` call at n.  Each bracket keeps its own
-    iterates and its own stopping rule, so its result is what it would be
-    alone at the same n.
+    still running is one ``_evaluate`` call at the plan.  Each bracket keeps
+    its own iterates and its own stopping rule, so its result is what it
+    would be alone at the same plan.
     """
-    # a, Z(a), b, Z(b), the step bound, and |zhat| at b
+    # a, Z(a), b, Z(b), the step bound, and |zeta| at b
     state = [[t_lo, z_lo, t_hi, z_hi, 4.0 * math.ulp(max(abs(t_lo), abs(t_hi))), math.nan]
              for t_lo, t_hi, z_lo, z_hi in brackets]
     running = state
@@ -199,7 +160,7 @@ def _refine(brackets: list[tuple[float, float, float, float]], n: int) -> list[t
         if not running:
             break
         ts = [b - fb * (b - a) / (fb - fa) for a, fa, b, fb, *_ in running]
-        values, residuals = _evaluate(ts, n)
+        values, residuals = _evaluate(ts, plan)
         still = []
         for s, t, z, residual in zip(running, ts, values, residuals):
             a, fa, b, fb, xtol, _ = s
@@ -219,16 +180,17 @@ def refine_zero(t_lo: float, t_hi: float, *, tolerance: float = DEFAULT_TOLERANC
     """Refine the zero inside a sign-change bracket [t_lo, t_hi] of Z.
 
     ``z_lo`` and ``z_hi`` are Z at the ends when the caller already has them;
-    otherwise they are evaluated, all at n = ``line_length(max(|t_lo|,
-    |t_hi|))``.  Illinois iterations (regula falsi that halves the value
-    kept at a stale end) run until consecutive iterates are
-    within four ulps or Z is exactly 0.  The reported ordinate is the last
-    iterate, so it lies in the bracket, and ``residual_mag`` is |zhat| there.
+    otherwise they are evaluated, all at the Euler-Maclaurin plan
+    ``line_plan(max(|t_lo|, |t_hi|))``.  Illinois iterations (regula falsi
+    that halves the value kept at a stale end) run until consecutive
+    iterates are within four ulps or Z is exactly 0.  The reported ordinate
+    is the last iterate, so it lies in the bracket, and ``residual_mag`` is
+    |zeta| there.
     This is the one-bracket case of the lockstep refinement of ``scan_zeros``.
 
     Raises BracketError unless Z(t_lo) and Z(t_hi) have strictly opposite
     signs, ConfigError unless ``tolerance`` is finite and > 0, BudgetError if
-    the series is too long, and NoConvergence, naming the bracket, if |zhat|
+    the sum is too long, and NoConvergence, naming the bracket, if |zeta|
     at the result is above ``tolerance``: a sign change is a zero, so only a
     tolerance too tight to resolve it can fail here.
     """
@@ -236,16 +198,16 @@ def refine_zero(t_lo: float, t_hi: float, *, tolerance: float = DEFAULT_TOLERANC
     t_lo, t_hi = float(t_lo), float(t_hi)
     if not t_lo < t_hi:
         raise BracketError(f"bracket [{t_lo}, {t_hi}] is empty")
-    n = line_length(max(abs(t_lo), abs(t_hi)))
+    plan = line_plan(max(abs(t_lo), abs(t_hi)))
     if z_lo is None:
-        z_lo = _evaluate([t_lo], n)[0][0]
+        z_lo = _evaluate([t_lo], plan)[0][0]
     if z_hi is None:
-        z_hi = _evaluate([t_hi], n)[0][0]
+        z_hi = _evaluate([t_hi], plan)[0][0]
     if not z_lo * z_hi < 0.0:
         raise BracketError(
             f"Z has no sign change on [{t_lo}, {t_hi}]: Z = {z_lo:.3e}, {z_hi:.3e}"
         )
-    ((t, residual),) = _refine([(t_lo, t_hi, z_lo, z_hi)], n)
+    ((t, residual),) = _refine([(t_lo, t_hi, z_lo, z_hi)], plan)
     return _checked(t, residual, tolerance, f"bracket [{t_lo}, {t_hi}]", refined=True)
 
 
@@ -256,9 +218,8 @@ def scan_zeros(window: ScanWindow, *, tolerance: float = DEFAULT_TOLERANCE) -> l
     ``step``, refines every strict sign change between neighbouring points,
     all in lockstep (one ``_evaluate`` call per Illinois step), and takes a
     grid point where Z is exactly 0 as a zero itself (with ``refined``
-    False).  All of it is at one Borwein length, ``line_length(t_max)``,
-    fixed before the grid is built, so a window builds one weight vector.
-    Records are ordered (and 1-indexed) by ordinate.  Any zero whose |zhat|
+    False).  All of it is at one plan, ``line_plan(t_max)``, fixed before the
+    grid is built.  Records are ordered (and 1-indexed) by ordinate.  Any zero whose |zeta|
     exceeds ``tolerance`` raises NoConvergence; the first in order is named.
     """
     _require_tolerance(tolerance)
@@ -267,13 +228,13 @@ def scan_zeros(window: ScanWindow, *, tolerance: float = DEFAULT_TOLERANCE) -> l
             f"step {window.step} > {MAX_SCAN_STEP} risks skipping zeros below t=100"
         )
 
-    n = line_length(window.t_max)
+    plan = line_plan(window.t_max)
     grid = window.grid()
-    values, residuals = _evaluate(grid, n)
+    values, residuals = _evaluate(grid, plan)
 
     brackets = [(t, grid[i + 1], z, values[i + 1]) for i, (t, z) in enumerate(zip(grid, values))
                 if i + 1 < len(grid) and z * values[i + 1] < 0.0]
-    refined = iter(_refine(brackets, n))
+    refined = iter(_refine(brackets, plan))
 
     found = []
     for i, (t, z) in enumerate(zip(grid, values)):

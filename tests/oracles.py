@@ -142,6 +142,33 @@ HARDY_Z_SAMPLES = [
     (10000.3, 0.53573750872000793),
 ]
 
+# zeta(1/2 + i t) (mpmath.zeta) past the Borwein budget (|t| ~ 1.8e4), where
+# only the Euler-Maclaurin kernel of the zero scan reaches
+ZETA_LINE_SAMPLES = [
+    (complex(0.5, 20000.0), complex(0.36827044340094163, -1.2932898206908237)),
+    (complex(0.5, 50000.0), complex(2.5406587127591122, 1.5382492420720108)),
+]
+
+# zeros with 20000 < t <= 20020 (mpmath.nzeros(20020) - mpmath.nzeros(20000))
+ZERO_COUNT_20000_20020 = 26
+
+# B_2j / (2j)! (mpmath.bernoulli), the Euler-Maclaurin coefficients, across
+# the literal part (j <= 11) and the computed part (j >= 12) of the table
+BERNOULLI_COEFF_SAMPLES = [
+    (1, 0.083333333333333333),
+    (2, -0.0013888888888888889),
+    (10, -2.1748686985580619e-16),
+    (11, 5.5090028283602295e-18),
+    (12, -1.3954464685812523e-19),
+    (13, 3.5347070396294675e-21),
+    (26, -6.2470767418207437e-42),
+    (27, 1.5824030244644914e-43),
+    (50, -3.0411872415142924e-80),
+    (100, -4.6244099189746555e-160),
+    (149, 2.7760624066064009e-238),
+    (150, -7.0318482225589324e-240),
+]
+
 # Riemann-Siegel theta(t) (mpmath.siegeltheta), at the cut-off of its
 # asymptotic series (t = 10), at the first zero, and across the scan range
 THETA_SAMPLES = [
@@ -261,6 +288,11 @@ def _regenerate(write_table: str | None) -> None:
 
     for t, _ in HARDY_Z_SAMPLES:
         print("   siegelz", f(mp.mpf(t)), "->", f(mp.siegelz(mp.mpf(t))))
+    for z, _ in ZETA_LINE_SAMPLES:
+        print("   zeta", cpair(mp.mpc(z)), "->", cpair(mp.zeta(mp.mpc(z))))
+    print("ZERO_COUNT_20000_20020 =", mp.nzeros(20020) - mp.nzeros(20000))
+    for j, _ in BERNOULLI_COEFF_SAMPLES:
+        print("   B_2j / (2j)!", j, "->", f(mp.bernoulli(2 * j) / mp.factorial(2 * j)))
     for t, _ in THETA_SAMPLES:
         print("   siegeltheta", f(mp.mpf(t)), "->", f(mp.siegeltheta(mp.mpf(t)), 20))
 

@@ -8,14 +8,19 @@ from dataclasses import asdict
 
 from zetalab import (
     DOUBLING_BUDGET,
+    ScanWindow,
     cli,
+    crosscheck_zeros,
     error_scaling_scan,
+    load_zero_table,
     reference_table_path,
+    scan_zeros,
     series,
     zeta_hat_eta,
     zeta_hat_regularized,
 )
 from zetalab.cli import main, parse_complex, format_complex_flag
+from zetalab.reporting import json_dumps
 
 import oracles
 
@@ -63,6 +68,15 @@ class TestEval:
         code, out, err = run_cli(["eval", "--z", "1+0i"], capsys)
         assert code == 1
         assert "PrefactorSingularityError" in out + err
+
+    def test_huge_real_part_warns_of_nothing(self, capsys):
+        # -z ln k overflows to -inf, and each term past k = 1 is exactly 0;
+        # under filterwarnings = error a RuntimeWarning would fail the run
+        code, out, _ = run_cli(["eval", "--z", "1.7e308+0i"], capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        for name in ("zeta_partial", "eta_partial", "zeta_hat_regularized"):
+            assert results[name] == {"re": 1.0, "im": 0.0}
 
     def test_large_real_part_within_bound(self, capsys):
         code, out, _ = run_cli(["eval", "--z", "1e20+0i"], capsys)
@@ -609,6 +623,33 @@ class TestFloatFormat:
             "reference_slope": scan.reference_slope,
             "slope_deviation": scan.fitted_slope - scan.reference_slope,
         })
+
+    def test_zeros_report_is_its_asdict_form(self, capsys, tmp_path):
+        # the records and matched pairs are written field by field, as
+        # dataclasses.asdict would give them, and byte for byte so
+        table = reference_table_path()
+        out_path = tmp_path / "zeros.json"
+        code, _, _ = run_cli(["zeros", "--tmin", "10", "--tmax", "35", "--reference", str(table),
+                              "--out", str(out_path)], capsys)
+        assert code == 0
+        window = ScanWindow(10.0, 35.0, 0.05)
+        records = scan_zeros(window)
+        check = crosscheck_zeros(records, load_zero_table(table), 1e-6, window=(10.0, 35.0))
+        results = {
+            "window": {"t_min": 10.0, "t_max": 35.0, "step": 0.05},
+            "zeros": [asdict(r) for r in records],
+            "crosscheck": {
+                "reference_path": str(table),
+                "tolerance": 1e-6,
+                "matched": [asdict(m) for m in check.matched],
+                "unmatched_found": [],
+                "unmatched_reference": [],
+                "max_delta": check.max_delta,
+            },
+        }
+        report = json.loads(out_path.read_text())
+        self.assert_same(report["results"], results)
+        assert json_dumps(report["results"]) == json_dumps(results)
 
 
 class TestTermBudget:

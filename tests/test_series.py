@@ -46,6 +46,13 @@ class TestZetaPartial:
         with pytest.raises(OverflowError):
             partial_sums(complex(-400.0, 0.0), 10_000)
 
+    @pytest.mark.parametrize("sigma", [5e307, 1.7e308])
+    def test_overflowing_exponent_gives_zero_terms_without_warning(self, sigma):
+        # -z ln k leaves double range, and k^(-z) is 0 for every k > 1
+        plain, alternating, regularized = partial_sums(complex(sigma, 0.0), 10_000)
+        assert plain == alternating == 1.0
+        assert regularized == 1.0
+
 
 class TestEtaPartial:
     def test_single_term(self):
@@ -347,6 +354,86 @@ class TestBorweinKernel:
         for t, hardy in oracles.HARDY_Z_SAMPLES:
             sv = zeta_hat_eta(complex(0.5, t))
             assert abs(abs(sv.value) - abs(hardy)) <= sv.est_error, t
+
+
+def line_points():
+    """Every frozen zeta(1/2 + i t) of the oracles, as (t, zeta)."""
+    points = [(0.0, complex(oracles.ZETA_HALF))]
+    points += [(z.imag, zeta) for z, zeta in oracles.ZETA_SAMPLES + oracles.ZETA_LARGE_T_SAMPLES
+               + oracles.ZETA_LINE_SAMPLES if z.real == 0.5]
+    return points + [(z.imag, zeta) for z, zeta, _ in oracles.ZETA_DERIV_SAMPLES if z.real == 0.5]
+
+
+def line_rounding_bound(t, plan, value):
+    """First-order rounding bound of the Euler-Maclaurin value at 1/2 + i t.
+
+    A term exp(-z ln k) is off by (2 + |z| ln k) eps relative, and its
+    extended-precision sum adds less than eps more; n^(1-z)/(1-z), n^(-z)/2
+    and the Bernoulli terms, each a product of at most 4m + 8 rounded
+    factors with one exp(-z ln n), by (4m + 8 + |z| ln n) eps relative; the
+    final sum by 4 eps |zeta|.
+    """
+    n, m = plan
+    z = complex(0.5, t)
+    k = np.arange(1.0, n + 1.0)
+    terms = float(np.add.reduce(k ** -0.5 * (3.0 + abs(z) * np.log(k))))
+    ratio, bernoulli = z / n, 0.0
+    for j in range(m):
+        bernoulli += abs(series._EM_COEFFS[j] * ratio)
+        ratio *= (z + 2 * j + 1) * (z + 2 * j + 2) / (n * n)
+    tail = (n / abs(1.0 - z) + 0.5 + bernoulli) / math.sqrt(n)
+    return series._EPS * (terms + tail * (4 * m + 8 + abs(z) * math.log(n)) + 4.0 * abs(value))
+
+
+class TestEulerMaclaurinLine:
+    # the zero scan's kernel: zeta(1/2 + i t) from line_plan's (n, m), within
+    # 2^-52 (Rademacher's bound) plus its rounding
+
+    @pytest.mark.parametrize("t,zeta", line_points())
+    def test_within_bound_at_every_line_oracle(self, t, zeta):
+        plan = series.line_plan(t)
+        value = complex(series._line_zeta(np.array([t]), *plan)[0])
+        assert abs(value - zeta) <= series._EPS + line_rounding_bound(t, plan, value)
+
+    @pytest.mark.parametrize("t,hardy", oracles.HARDY_Z_SAMPLES)
+    def test_modulus_within_bound_at_every_hardy_oracle(self, t, hardy):
+        # |Z(t)| = |zeta(1/2 + i t)|
+        plan = series.line_plan(t)
+        (_,), (modulus,) = series.hardy_z_line([t], plan)
+        bound = series._EPS + line_rounding_bound(t, plan, modulus)
+        assert abs(modulus - abs(hardy)) <= bound
+
+    def test_past_the_borwein_budget(self):
+        # 0.5 + 50000i would need 44 577 Borwein terms, and takes 9160 here
+        (t, zeta), = [(t, zeta) for t, zeta in line_points() if t == 50_000.0]
+        assert series.line_plan(t) == (9160, 127)
+        value = complex(series._line_zeta(np.array([t]), 9160, 127)[0])
+        assert abs(value - zeta) <= 1e-10
+
+    @pytest.mark.parametrize("t", [0.0, 3.0, 14.134725141734695, 100.0, 3000.7, 50_000.0])
+    def test_equals_the_scalar_euler_maclaurin_step(self, t):
+        # the array kernel against the schedule's scalar delta (_em_delta) on
+        # the extended-precision zhat_n: the same sum in another order, off by
+        # rounding, most of it in the phase (1 - z) ln n of the tail
+        n, m = series.line_plan(t)
+        z = complex(0.5, t)
+        plain, _, regularized = partial_sums(z, n)
+        value = complex(series._line_zeta(np.array([t]), n, m)[0])
+        tail = (n / abs(1.0 - z) + 1.0) / math.sqrt(n)
+        bound = series._EPS * (8.0 * (abs(plain) + 1.0) + abs(z) * math.log(n) * tail)
+        assert abs(value - (regularized - series._em_delta(z, n, m))) <= bound
+
+    @pytest.mark.parametrize("j,coeff", oracles.BERNOULLI_COEFF_SAMPLES)
+    def test_bernoulli_table_against_oracle(self, j, coeff):
+        assert abs(series._EM_COEFFS[j - 1] - coeff) <= 4.0 * math.ulp(coeff)
+
+    def test_budget(self):
+        # n is refused past LINE_BUDGET; 1.7e308 / 2 pi * 1.15 is still finite
+        n, _ = series.line_plan(178_000.0)
+        assert n <= series.LINE_BUDGET
+        for t in (179_100.0, 1e6, 1.7e308):
+            with pytest.raises(BudgetError, match="above the budget"):
+                series.line_plan(t)
 
 
 class TestBorweinBudget:

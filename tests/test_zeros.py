@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from zetalab import (
@@ -20,7 +21,8 @@ from zetalab import (
     zeta_hat_eta,
 )
 from zetalab import zeros
-from zetalab.series import _borwein_weights, _partial_sums, _Stream, line_length
+from zetalab import series
+from zetalab.series import _borwein_weights, _partial_sums, _Stream, line_plan
 from zetalab.zeros import ZeroRecord
 
 import oracles
@@ -120,45 +122,56 @@ class TestScan:
         assert abs(records[0].ordinate - oracles.ZERO_ORDINATES_FIRST10[0]) <= 1e-12
 
     def test_refinement_reuses_the_grids_weights(self, monkeypatch):
-        # the grid builds the window's one weight vector, and refinement
-        # finds it still cached
+        # the grid and every refinement step evaluate at the window's one
+        # plan, and none of them builds Borwein weights
         _borwein_weights.cache_clear()
-        misses = []
+        plans = []
         evaluate = zeros._evaluate
 
-        def counted(ts, n):
-            result = evaluate(ts, n)
-            misses.append(_borwein_weights.cache_info().misses)
-            return result
+        def counted(ts, plan):
+            plans.append(plan)
+            return evaluate(ts, plan)
         monkeypatch.setattr(zeros, "_evaluate", counted)
         assert len(scan_zeros(ScanWindow(77.1, 97.1, 0.05))) == 9
-        assert misses[0] == 1 and len(misses) > 1 and misses[-1] == 1
+        assert len(plans) > 1 and set(plans) == {line_plan(97.1)}
+        assert _borwein_weights.cache_info().misses == 0
 
     def test_a_cold_scan_at_t_3000_builds_one_weight_vector(self):
+        # cold, a window takes one plan and builds no weight vector
         _borwein_weights.cache_clear()
+        line_plan.cache_clear()
+        series._line_factors.cache_clear()
         assert len(scan_zeros(ScanWindow(2990.0, 3010.0, 0.05))) == 19
-        assert _borwein_weights.cache_info().misses == 1
+        assert _borwein_weights.cache_info().misses == 0
+        assert line_plan.cache_info().misses == 1
+        assert series._line_factors.cache_info().misses == 1
+
+    def test_a_window_past_the_borwein_budget(self):
+        # Borwein's series would need 17 861 terms at t = 20020; the plan has 3673
+        records = scan_zeros(ScanWindow(20000.0, 20020.0, 0.05))
+        assert len(records) == oracles.ZERO_COUNT_20000_20020
+        assert max(r.residual_mag for r in records) <= zeros.DEFAULT_TOLERANCE
 
     def test_refinement_steps_every_bracket_together(self, monkeypatch):
         # one grid call, then one call per Illinois step of the slowest
         # bracket, each covering every bracket still running
         window = ScanWindow(41.7, 61.7, 0.05)
         grid = window.grid()
-        n = line_length(window.t_max)
-        values, _ = zeros._evaluate(grid, n)
+        plan = line_plan(window.t_max)
+        values, _ = zeros._evaluate(grid, plan)
         brackets = [(grid[i], grid[i + 1], values[i], values[i + 1])
                     for i in range(len(grid) - 1) if values[i] * values[i + 1] < 0.0]
         calls = []
         evaluate = zeros._evaluate
 
-        def counted(ts, n):
+        def counted(ts, plan):
             calls.append(len(ts))
-            return evaluate(ts, n)
+            return evaluate(ts, plan)
         monkeypatch.setattr(zeros, "_evaluate", counted)
         steps = []
         for bracket in brackets:
             calls.clear()
-            zeros._refine([bracket], n)
+            zeros._refine([bracket], plan)
             steps.append(len(calls))
         calls.clear()
         records = scan_zeros(window)
@@ -167,17 +180,18 @@ class TestScan:
         assert calls[1:] == sorted(calls[1:], reverse=True)
         assert len(calls) == 1 + max(steps) <= 10
 
-    @pytest.mark.parametrize("t_min,t_max", [(41.7, 61.7), (4990.0, 4992.0)])
+    @pytest.mark.parametrize("t_min,t_max", [(41.7, 61.7), (4990.0, 4992.0),
+                                             (22_500.0, 22_502.0)])
     def test_scan_equals_refining_each_bracket(self, t_min, t_max):
         # lockstep refinement keeps each bracket's own iterates: every zero is
-        # bit for bit what _refine gives on its bracket alone at the scan's n,
-        # also where the series (about 4480 terms near t = 4990) spans two
+        # bit for bit what _refine gives on its bracket alone at the scan's
+        # plan, also where the sum (4127 terms near t = 22 500) spans two
         # chunks
         window = ScanWindow(t_min, t_max, 0.05)
         grid = window.grid()
-        n = line_length(window.t_max)
-        values, _ = zeros._evaluate(grid, n)
-        alone = [zeros._refine([(grid[i], grid[i + 1], values[i], values[i + 1])], n)[0]
+        plan = line_plan(window.t_max)
+        values, _ = zeros._evaluate(grid, plan)
+        alone = [zeros._refine([(grid[i], grid[i + 1], values[i], values[i + 1])], plan)[0]
                  for i in range(len(grid) - 1) if values[i] * values[i + 1] < 0.0]
         records = scan_zeros(window)
         assert len(records) == len(alone) >= 2
@@ -235,18 +249,18 @@ class TestHardyZ:
     def test_theta_against_siegeltheta_oracle(self, t, expected):
         # 1e-12, plus half an ulp of theta: at t = 10000.3 the double nearest
         # theta is itself 1.1e-12 away from it
-        assert abs(zeros._theta(t) - expected) <= 1e-12 + 0.5 * math.ulp(expected)
+        assert abs(series._theta(np.array([t]))[0] - expected) <= 1e-12 + 0.5 * math.ulp(expected)
 
     def test_grid_and_one_point_calls_agree_bit_for_bit(self):
         # the scan grid is one call and refinement calls one ordinate at a
-        # time, at the window's n; both must evaluate the same function
+        # time, at the window's plan; both must evaluate the same function
         grid = ScanWindow(41.7, 61.7, 0.05).grid()
-        n = line_length(grid[-1])
-        values, residuals = zeros._evaluate(grid, n)
+        plan = line_plan(grid[-1])
+        values, residuals = zeros._evaluate(grid, plan)
         for i in range(0, len(grid), 23):
-            (z,), (residual,) = zeros._evaluate([grid[i]], n)
+            (z,), (residual,) = zeros._evaluate([grid[i]], plan)
             assert (z.hex(), residual.hex()) == (values[i].hex(), residuals[i].hex())
-            # hardy_z takes its own, shorter series: the same Z to rounding
+            # hardy_z takes its own, shorter plan: the same Z to rounding
             assert abs(hardy_z(grid[i]) - values[i]) <= 1e-14
 
 
@@ -257,7 +271,7 @@ class TestScanLogic:
     @staticmethod
     def synthetic(monkeypatch, f, calls=None):
         # the array form: one call per grid, a one-point list per refinement step
-        def evaluate(ts, n):
+        def evaluate(ts, plan):
             if calls is not None:
                 calls.append(list(ts))
             values = [f(t) for t in ts]
