@@ -22,8 +22,9 @@ where ``longdouble`` is narrower).  The terms come in fixed chunks of
 the chunk totals are added in ascending order.  A sum at mark m so depends
 only on the point and on m, results are deterministic, and accumulation
 noise stays far below the 1e-10 identity budget even for n = 10^4 sums of
-O(10^4) magnitude near the edge of the strip.  The plain and the alternating
-stream of a point come from one term array.  Public values are IEEE doubles.
+O(10^4) magnitude near the edge of the strip.  One term pass,
+``_partial_sums``, gives the plain and the alternating sums of a point at
+the same marks.  Public values are IEEE doubles.
 A regularized schedule is summed term by term up to its base mark, and its
 later marks are Euler-Maclaurin steps.  ``zeta_hat_eta`` sums one point at
 its own Borwein length.  On the critical line, ``hardy_z_line`` gives Hardy's
@@ -108,6 +109,9 @@ def _check_overflow(z: complex, n: int) -> None:
     # |k^(-z)| = k^(-Re z) peaks at k = n for Re z < 0.
     if n > 1 and (-z.real) * math.log(n) > 700.0:
         raise OverflowError(f"terms of k^(-{z!r}) overflow double range at n={n}")
+    # a phase |Im z| ln n past double range would make the terms nan
+    if not math.isfinite(abs(z.imag) * math.log(n)):
+        raise OverflowError(f"the phase of k^(-{z!r}) leaves double range at n={n}")
 
 
 def mirror_is_conjugate(z: complex) -> bool:
@@ -121,66 +125,44 @@ def mirror_is_conjugate(z: complex) -> bool:
     return z.real == 0.5 and z.imag != 0.0
 
 
-class _Stream:
-    """Partial sums of the rows of a term pass, taken at their marks.
-
-    ``marks`` are strictly increasing truncation indices; ``weights``, if
-    given, is a read-only array of factors for k = 1..marks[-1], indexed by
-    k - 1; ``alternating`` negates the even terms.  ``sums`` collects the
-    extended-precision sum at each mark, one value per row, and ``carry`` is
-    the sum of the whole chunks taken so far.
-    """
-
-    __slots__ = ("marks", "weights", "alternating", "sums", "carry")
-
-    def __init__(self, marks, weights=None, alternating=False):
-        self.marks = marks
-        self.weights = weights
-        self.alternating = alternating
-        self.sums = []
-        self.carry = _LD_ZERO
-
-    def take(self, terms: np.ndarray, k0: int, k1: int) -> None:
-        """Take the chunk of ``terms`` for k = k0..k1-1 into the sums.
-
-        The weights and signs are applied to the chunk in place.
-        """
-        marks, sums = self.marks, self.sums
-        # the chunk is sliced only at the last mark, and its sums only at
-        # the marks before it: a slice costs about 0.4 µs, on each of the
-        # 256 chunks of a 2^20-term schedule and in every one-point call
-        block = terms if marks[-1] >= k1 - 1 else terms[..., :marks[-1] - k0 + 1]
-        if self.weights is not None:
-            block *= self.weights[k0 - 1:k0 - 1 + block.shape[-1]]
-        if self.alternating:
-            block[..., 1::2] *= -1.0  # the even k: every chunk starts at an odd k
-        # a mark inside the chunk or at its end sums its own part of it
-        while len(sums) < len(marks) and marks[len(sums)] < k1:
-            mark = marks[len(sums)]
-            part = block if mark == marks[-1] else block[..., :mark - k0 + 1]
-            sums.append(self.carry + np.add.reduce(part, axis=-1, dtype=_LD))
-        if len(sums) < len(marks):
-            # the stream goes on: a mark at the chunk's end is the new carry
-            self.carry = (sums[-1] if sums and marks[len(sums) - 1] == k1 - 1
-                          else self.carry + np.add.reduce(block, axis=-1, dtype=_LD))
+def _take(terms: np.ndarray, marks, k0: int, k1: int, sums: list, carry):
+    """Take the chunk ``terms`` for k = k0..k1-1 into ``sums``, one sum per
+    mark it holds, and return the new carry, the sum of the whole chunks so
+    far."""
+    # a mark inside the chunk or at its end sums its own part of it; the
+    # chunk is sliced only inside, as a slice costs about 0.4 µs
+    while len(sums) < len(marks) and marks[len(sums)] < k1:
+        mark = marks[len(sums)]
+        part = terms if mark == k1 - 1 else terms[..., :mark - k0 + 1]
+        sums.append(carry + np.add.reduce(part, axis=-1, dtype=_LD))
+    if len(sums) < len(marks):
+        # the sums go on: a mark at the chunk's end is the new carry
+        carry = (sums[-1] if sums and marks[len(sums) - 1] == k1 - 1
+                 else carry + np.add.reduce(terms, axis=-1, dtype=_LD))
+    return carry
 
 
-def _partial_sums(z, *streams: _Stream) -> list[list]:
-    """Stream the partial sums of k^(-z) from one term pass.
+def _partial_sums(z, marks, weights=None, alternating=False):
+    """The partial sums of k^(-z) at ``marks`` from one term pass.
 
     ``z`` is one point or a 1-D array of points, one row each of the term
-    matrix exp(-z ln k), made chunk by chunk as wide as the longest stream.
-    Returns the ``sums`` of each stream.  Streams change the chunk in place,
-    in order, so a plain stream goes before an alternating one, and a
-    weighted one goes alone.  The sum at mark m is the chunk totals before it
-    plus one pairwise sum of its own chunk up to m, row by row, so it depends
-    only on the point, its weights and m.
+    matrix exp(-z ln k), made chunk by chunk up to the last of the strictly
+    increasing ``marks``.  ``weights``, if given, is a read-only array of
+    factors for k = 1..marks[-1], indexed by k - 1.  Returns the list of
+    extended-precision sums at the marks, one value per row; with
+    ``alternating``, a pair of it and the alternating sums at the same marks,
+    whose even terms are negated in place once a chunk's plain sums are
+    taken.  The sum at mark m is the chunk totals before it plus one pairwise
+    sum of its own chunk up to m, row by row, so it depends only on the
+    point, its weights and m.
     """
     rows = np.asarray(z, dtype=complex)[..., np.newaxis]
-    n = max(stream.marks[-1] for stream in streams)
+    n = marks[-1]
     # only a point of |z| ln n > 1e308 overflows -z ln k, and a Re z that large makes
     # each term past k = 1 exactly 0; np.errstate costs 1.5 µs, so only it enters one
     quiet = isinstance(z, complex) and abs(z) * math.log(n) > 1e308
+    plain, signed = [], []
+    carry = signed_carry = _LD_ZERO
     for k0 in range(1, n + 1, _CHUNK):
         k1 = min(k0 + _CHUNK, n + 1)
         log_k = _first_logs()[:k1 - 1] if k0 == 1 else np.log(np.arange(k0, k1, dtype=float))
@@ -189,10 +171,13 @@ def _partial_sums(z, *streams: _Stream) -> list[list]:
                 terms = np.exp(-rows * log_k)
         else:
             terms = np.exp(-rows * log_k)
-        for stream in streams:
-            if stream.marks[-1] >= k0:
-                stream.take(terms, k0, k1)
-    return [stream.sums for stream in streams]
+        if weights is not None:
+            terms *= weights[k0 - 1:k1 - 1]
+        carry = _take(terms, marks, k0, k1, plain, carry)
+        if alternating:
+            terms[..., 1::2] *= -1.0  # the even k: every chunk starts at an odd k
+            signed_carry = _take(terms, marks, k0, k1, signed, signed_carry)
+    return (plain, signed) if alternating else plain
 
 
 @functools.cache
@@ -250,16 +235,17 @@ def _regularized(z: complex, n: int, plain) -> complex:
 def partial_sums(z: complex, n: int) -> tuple[complex, complex, complex | SingularityError]:
     """(zeta_n(z), xi_n(z), zhat_n(z)) from one term pass.
 
-    Each sum is taken term by term; zhat_n, from the plain stream, is bit
-    for bit what ``zeta_hat_regularized`` returns.  Within ``GUARD_RADIUS``
+    Each sum is taken term by term; zhat_n, from the plain sum, is bit for
+    bit what ``zeta_hat_regularized`` returns.  Within ``GUARD_RADIUS``
     of z = 1 zhat_n is the SingularityError that ``zeta_hat_regularized``
     raises there, returned so that the other two sums are not lost.  Raises
-    ValueError for n < 1 and OverflowError where a term leaves double range.
+    ValueError for n < 1 and OverflowError where a term or its phase leaves
+    double range.
     """
     z = _require_finite(z)
     n = _require_n(n)
     _check_overflow(z, n)
-    (plain,), (alternating,) = _partial_sums(z, _Stream((n,)), _Stream((n,), alternating=True))
+    (plain,), (alternating,) = _partial_sums(z, (n,), alternating=True)
     try:
         _require_regular(z)
         regularized = _regularized(z, n, plain)
@@ -298,7 +284,7 @@ def zeta_hat_regularized_schedule(z: complex, marks: list[int]) -> list[complex]
     _check_overflow(z, marks[-1])
     base, order = next(((i, order) for i, m in enumerate(marks)
                         if (order := _em_order(z, m)) is not None), (len(marks) - 1, 0))
-    (values,) = _partial_sums(z, _Stream(tuple(marks[:base + 1])))
+    values = _partial_sums(z, marks[:base + 1])
     head = [_regularized(z, m, s) for m, s in zip(marks, values)]
     start = head[-1] - _em_delta(z, marks[base], order)
     return head + [start + _em_delta(z, b, order) for b in marks[base + 1:]]
@@ -411,7 +397,7 @@ def zeta_hat_eta(z: complex) -> SeriesValue:
     prefactor = _eta_prefactor(z)
     log_scale = _log_scale(z, prefactor)
     n = _borwein_length(log_scale, f"zeta_hat_eta at z={z!r}")
-    ((xi,),) = _partial_sums(z, _Stream((n,), _borwein_weights(n)))
+    (xi,) = _partial_sums(z, (n,), _borwein_weights(n))
     value = complex(xi / prefactor)
     # the truncation bound is 2^-52 exp(log_scale) / (3 + sqrt 8)^n
     return SeriesValue(value, n, _EPS * math.exp(log_scale - n * _LN_BORWEIN_RATE)
@@ -461,7 +447,7 @@ def _line_zeta(t: np.ndarray, n: int, m: int) -> np.ndarray:
     ln_n, p, q, r = _line_factors(n, m)
     z = 0.5 + 1j * t
     t2 = t * t
-    ((plain,),) = _partial_sums(z, _Stream((n,)))
+    (plain,) = _partial_sums(z, (n,))
     factors = np.empty((len(t), m), dtype=complex)
     np.multiply.outer(t2, q, out=factors.real)
     np.subtract(p, factors.real, out=factors.real)
@@ -535,8 +521,7 @@ def identity_residual_plain(z: complex, n: int) -> float:
     z = _require_finite(z)
     n = _require_n(n)
     _check_overflow(z, 2 * n)
-    (zeta_n, zeta_2n), (xi,) = _partial_sums(z, _Stream((n, 2 * n)),
-                                             _Stream((2 * n,), alternating=True))
+    (zeta_n, zeta_2n), (_, xi) = _partial_sums(z, (n, 2 * n), alternating=True)
     rhs = complex(zeta_2n) - 2.0 ** (1.0 - z) * complex(zeta_n)
     return abs(complex(xi) - rhs)
 
@@ -552,7 +537,6 @@ def identity_residual_regularized(z: complex, n: int) -> float:
     n = _require_n(n)
     _require_regular(z)
     _check_overflow(z, 2 * n)
-    (zeta_n, zeta_2n), (xi,) = _partial_sums(z, _Stream((n, 2 * n)),
-                                             _Stream((2 * n,), alternating=True))
+    (zeta_n, zeta_2n), (_, xi) = _partial_sums(z, (n, 2 * n), alternating=True)
     rhs = _regularized(z, 2 * n, zeta_2n) - 2.0 ** (1.0 - z) * _regularized(z, n, zeta_n)
     return abs(complex(xi) - rhs)

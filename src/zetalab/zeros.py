@@ -175,17 +175,14 @@ def _refine(brackets: list[tuple[float, float, float, float]],
     return [(b, residual) for _, _, b, _, _, residual in state]
 
 
-def refine_zero(t_lo: float, t_hi: float, *, tolerance: float = DEFAULT_TOLERANCE,
-                z_lo: float | None = None, z_hi: float | None = None) -> ZeroRecord:
+def refine_zero(t_lo: float, t_hi: float, *, tolerance: float = DEFAULT_TOLERANCE) -> ZeroRecord:
     """Refine the zero inside a sign-change bracket [t_lo, t_hi] of Z.
 
-    ``z_lo`` and ``z_hi`` are Z at the ends when the caller already has them;
-    otherwise they are evaluated, all at the Euler-Maclaurin plan
-    ``line_plan(max(|t_lo|, |t_hi|))``.  Illinois iterations (regula falsi
-    that halves the value kept at a stale end) run until consecutive
-    iterates are within four ulps or Z is exactly 0.  The reported ordinate
-    is the last iterate, so it lies in the bracket, and ``residual_mag`` is
-    |zeta| there.
+    Z is evaluated at the Euler-Maclaurin plan ``line_plan(max(|t_lo|,
+    |t_hi|))``.  Illinois iterations (regula falsi that halves the value kept
+    at a stale end) run until consecutive iterates are within four ulps or Z
+    is exactly 0.  The reported ordinate is the last iterate, so it lies in
+    the bracket, and ``residual_mag`` is |zeta| there.
     This is the one-bracket case of the lockstep refinement of ``scan_zeros``.
 
     Raises BracketError unless Z(t_lo) and Z(t_hi) have strictly opposite
@@ -199,10 +196,8 @@ def refine_zero(t_lo: float, t_hi: float, *, tolerance: float = DEFAULT_TOLERANC
     if not t_lo < t_hi:
         raise BracketError(f"bracket [{t_lo}, {t_hi}] is empty")
     plan = line_plan(max(abs(t_lo), abs(t_hi)))
-    if z_lo is None:
-        z_lo = _evaluate([t_lo], plan)[0][0]
-    if z_hi is None:
-        z_hi = _evaluate([t_hi], plan)[0][0]
+    z_lo = _evaluate([t_lo], plan)[0][0]
+    z_hi = _evaluate([t_hi], plan)[0][0]
     if not z_lo * z_hi < 0.0:
         raise BracketError(
             f"Z has no sign change on [{t_lo}, {t_hi}]: Z = {z_lo:.3e}, {z_hi:.3e}"

@@ -22,8 +22,8 @@ def together(points, n):
     """zhat at each point from the Borwein series of length n, the points
     summed as the rows of one term matrix.  On the critical line the values
     are checked against hardy_z_line's at the plan of the largest |t|."""
-    ((xi,),) = series._partial_sums(np.array(points, dtype=complex),
-                                    series._Stream((n,), series._borwein_weights(n)))
+    (xi,) = series._partial_sums(np.array(points, dtype=complex), (n,),
+                                 series._borwein_weights(n))
     values = [complex(x / series._eta_prefactor(z)) for x, z in zip(xi, points)]
     if all(z.real == 0.5 for z in points):
         ts = [z.imag for z in points]
@@ -105,9 +105,9 @@ class TestBatchEqualsScalar:
         # rows as fit in one 4096-term chunk
         blocks = []
 
-        def spy(z, *streams):
+        def spy(z, *args, **kwargs):
             blocks.append(len(z))
-            return partial_sums(z, *streams)
+            return partial_sums(z, *args, **kwargs)
 
         partial_sums = series._partial_sums
         monkeypatch.setattr(series, "_partial_sums", spy)

@@ -703,6 +703,32 @@ class TestBorweinBudget:
             assert "BudgetError" in err
 
 
+class TestPhaseRange:
+    # past |Im z| ln n ~ 1.8e308 the phase of exp(-z ln k) is not finite and
+    # the terms would be nan: the plain sums are refused before any term is
+    # made, so no RuntimeWarning fails the run under filterwarnings = error
+
+    @pytest.fixture(autouse=True)
+    def no_terms(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("terms were made at a point whose phase is not finite")
+        monkeypatch.setattr(series, "_partial_sums", refuse)
+
+    def test_eval_reports_it_per_value(self, capsys):
+        code, out, err = run_cli(["eval", "--z", "0.5+1e308i"], capsys)
+        assert code == 1
+        results = json.loads(out)["results"]
+        for name in ("zeta_partial", "eta_partial", "zeta_hat_regularized"):
+            assert results[name]["error"] == "OverflowError"
+        assert results["zeta_hat_eta"]["error"] == "BudgetError"
+        assert "BudgetError, OverflowError" in err
+
+    def test_doubling_is_a_computation_failure(self, capsys):
+        code, out, err = run_cli(["doubling", "--z", "0.5+1e308i"], capsys)
+        assert (code, out) == (1, "")
+        assert "OverflowError" in err
+
+
 class TestDeterminism:
     @staticmethod
     def stable_sections(path):

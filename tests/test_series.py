@@ -21,7 +21,7 @@ from zetalab import (
 )
 
 from zetalab import cli, series
-from zetalab.series import BORWEIN_BUDGET, _partial_sums, _Stream, partial_sums
+from zetalab.series import BORWEIN_BUDGET, _partial_sums, partial_sums
 
 import oracles
 
@@ -106,7 +106,7 @@ DOUBLING_MARKS = [4096 << j for j in range(9)]
 
 def direct_schedule(z, marks):
     """zhat_n at every mark, each summed term by term."""
-    (sums,) = _partial_sums(z, _Stream(tuple(marks)))
+    sums = _partial_sums(z, marks)
     return [series._regularized(z, m, s) for m, s in zip(marks, sums)]
 
 
@@ -253,16 +253,16 @@ class TestZetaHatEtaLongSums:
         for k in (1 << 19, (1 << 19) + 3):
             weights = np.zeros(n)
             weights[k - 1] = (-1) ** (k - 1)
-            ((value,),) = _partial_sums([z], _Stream((n,), weights))
+            (value,) = _partial_sums([z], (n,), weights)
             expected = (-1) ** (k - 1) * k ** -z
             assert abs(complex(value[0]) - expected) <= 1e-12 * abs(expected), k
 
 
 class TestAccumulator:
     @staticmethod
-    def stream(z, marks, alternating):
-        (sums,) = _partial_sums(z, _Stream(marks, alternating=alternating))
-        return sums
+    def sums(z, marks, alternating):
+        taken = _partial_sums(z, marks, alternating=alternating)
+        return taken[1] if alternating else taken
 
     @pytest.mark.parametrize("alternating", [False, True])
     def test_sum_at_a_mark_does_not_depend_on_other_marks(self, alternating):
@@ -270,24 +270,25 @@ class TestAccumulator:
         z = complex(0.3, 20.0)
         chunk = series._CHUNK
         marks = (chunk + 1, 2 * chunk, 2 * chunk + 1, 3 * chunk + 5)
-        schedule = self.stream(z, marks, alternating)
+        schedule = self.sums(z, marks, alternating)
         for m, inside in zip(marks, schedule):
-            (alone,) = self.stream(z, (m,), alternating)
+            (alone,) = self.sums(z, (m,), alternating)
             assert alone == inside, m
         # and the last term of the first chunk, within a batch
-        (batch,) = self.stream(np.array([z, 0.5 + 3.0j]), (chunk,), alternating)
-        inside = self.stream(z, (chunk, marks[-1]), alternating)[0]
+        (batch,) = self.sums(np.array([z, 0.5 + 3.0j]), (chunk,), alternating)
+        inside = self.sums(z, (chunk, marks[-1]), alternating)[0]
         assert batch[0] == inside
 
     @pytest.mark.parametrize("z", [complex(0.3, 20.0), complex(2.0, 0.0), complex(0.5, -0.0)])
     def test_two_streams_from_one_pass(self, z):
-        # the plain and the alternating stream of one term pass, each at its
-        # own marks, equal single-stream passes, sign of zero included
+        # the plain and the alternating sums of one term pass, at marks inside
+        # and at the end of a chunk, each equal its one-mark pass, sign of
+        # zero included
         chunk = series._CHUNK
-        plain_marks, alt_marks = (7, chunk, 2 * chunk + 3), (chunk - 1, 2 * chunk + 3)
-        plain, alt = _partial_sums(z, _Stream(plain_marks), _Stream(alt_marks, alternating=True))
-        for both, alone in ((plain, self.stream(z, plain_marks, False)),
-                            (alt, self.stream(z, alt_marks, True))):
+        marks = (7, chunk - 1, chunk, 2 * chunk + 3)
+        plain, alt = _partial_sums(z, marks, alternating=True)
+        for both, alternating in ((plain, False), (alt, True)):
+            alone = [self.sums(z, (m,), alternating)[0] for m in marks]
             assert [(v.real.hex(), v.imag.hex()) for v in map(complex, both)] == \
                 [(v.real.hex(), v.imag.hex()) for v in map(complex, alone)]
 
@@ -298,9 +299,9 @@ class TestAccumulator:
         z = np.array([0.5 + 300.0j, 0.3 + 20.0j, 0.9 - 4600.0j, 0.5 + 4601.0j])
         for n in (100, 4095, 4096, 4200):
             weights = series._borwein_weights(n)
-            ((rows,),) = _partial_sums(z, _Stream((n,), weights))
+            (rows,) = _partial_sums(z, (n,), weights)
             for zi, row in zip(z, rows):
-                ((alone,),) = _partial_sums([zi], _Stream((n,), weights))
+                (alone,) = _partial_sums([zi], (n,), weights)
                 assert (row.real, row.imag) == (alone[0].real, alone[0].imag)
 
     @pytest.mark.parametrize("z", [complex(0.05, 3.0), complex(0.5, 14.134725141734693),
@@ -311,7 +312,7 @@ class TestAccumulator:
         # a running sum of the 2^20 terms was 0.8 * 2^-58 sum |t_k| off at
         # 0.05+3i, one ulp once rounded to double
         n = 1 << 20
-        ((value,),) = _partial_sums(z, _Stream((n,)))
+        (value,) = _partial_sums(z, (n,))
         terms = np.exp(-z * np.log(np.arange(1.0, n + 1.0)))
         bound = 2.0 ** -60 * float(np.abs(terms).sum())
         for got, part in ((value.real, terms.real), (value.imag, terms.imag)):

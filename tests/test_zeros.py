@@ -22,7 +22,7 @@ from zetalab import (
 )
 from zetalab import zeros
 from zetalab import series
-from zetalab.series import _borwein_weights, _partial_sums, _Stream, line_plan
+from zetalab.series import _borwein_weights, _partial_sums, line_plan
 from zetalab.zeros import ZeroRecord
 
 import oracles
@@ -88,7 +88,7 @@ class TestScan:
         for record in five_records:
             rho = complex(0.5, record.ordinate)
             n = 2 * zeta_hat_eta(rho).n_used
-            ((xi,),) = _partial_sums([rho], _Stream((n,), _borwein_weights(n)))
+            (xi,) = _partial_sums([rho], (n,), _borwein_weights(n))
             assert abs(complex(xi[0]) / (1.0 - 2.0 ** (1.0 - rho))) <= 1e-8
 
     def test_reflected_point_also_vanishes(self, five_records):
