@@ -24,7 +24,6 @@ from .errors import (
     ZetaLabError,
 )
 from .experiments import (
-    DOUBLING_BUDGET,
     RatioReport,
     ScalingReport,
     error_scaling_scan,
@@ -39,6 +38,7 @@ from .functional_equation import (
     h_ratio_finite,
 )
 from .series import (
+    DOUBLING_BUDGET,
     SeriesValue,
     identity_residual_plain,
     identity_residual_regularized,

@@ -17,7 +17,9 @@ All doubling experiments use plain regularized sums, not the Borwein series:
 its weights would change the very error terms whose decay is being measured.
 A schedule is summed term by term up to its base mark and carried to later
 marks by Euler-Maclaurin steps, within 2^-51 of the term-by-term sums (see
-``series.zeta_hat_regularized_schedule``).
+``series.zeta_hat_regularized_schedule``).  The schedule refuses a last
+mark past ``series.DOUBLING_BUDGET`` before any term is made, so a doubling
+schedule and an error-scaling grid share that term budget.
 The error-scaling scan fits the log-log slope of |zhat_n(z) - zhat(z)|
 against the reference decay exponent -Re z, restricted to the validity
 domain |Im z| <= 2*pi*n/C.
@@ -32,15 +34,13 @@ from dataclasses import dataclass
 
 from .errors import BudgetError, ConfigError, DivisionByNearZero, DomainError, InsufficientDomain
 from .functional_equation import NEAR_ZERO_DENOMINATOR
-from .series import mirror_is_conjugate, zeta_hat_eta, zeta_hat_regularized_schedule
+from .series import (
+    DOUBLING_BUDGET,
+    mirror_is_conjugate,
+    zeta_hat_eta,
+    zeta_hat_regularized_schedule,
+)
 from .special_functions import LN_2
-
-#: Largest truncation index accepted: n_base * 2^m of a doubling
-#: schedule, the top of an error-scaling grid, and ``eval``'s plain sums.  It
-#: keeps a term-by-term sum under about a second: ``eval --n`` sums all its
-#: terms, while a schedule or a grid sums only up to its base mark, which
-#: lies far below the budget unless |Im z| nears 2 pi 2^24.
-DOUBLING_BUDGET = 1 << 24
 
 #: Complex log2 is defined modulo this imaginary period; exponent comparisons
 #: reduce into (-period/2, period/2].
@@ -108,11 +108,11 @@ def _doubling_marks(n_base: int, m: int) -> list[int]:
         raise ValueError(f"m must be >= 1, got {m}")
     if n_base < 1:
         raise ValueError(f"n_base must be >= 1, got {n_base}")
-    total = n_base << m
-    if total > DOUBLING_BUDGET:
-        raise BudgetError(
-            f"schedule n_base*2^m = {total} exceeds the term budget {DOUBLING_BUDGET}"
-        )
+    # the schedule refuses n_base 2^m past the budget; an m that alone puts
+    # it there is refused before n_base << m is formed
+    if m >= DOUBLING_BUDGET.bit_length():
+        raise BudgetError(f"a schedule of n_base = {n_base} and m = {m} doublings exceeds "
+                          f"the term budget {DOUBLING_BUDGET}")
     return [n_base << j for j in range(m + 1)]
 
 
@@ -173,8 +173,9 @@ def error_scaling_scan(point: complex, n_grid: list[int], *,
     measured on the default grids.  Grid points violating the validity bound
     |Im z| <= 2*pi*n/C, C = ``hl_constant``, are excluded from the fit; fewer
     than three surviving points raises InsufficientDomain.  A C not finite
-    and > 1 raises ConfigError, and a grid reaching past ``DOUBLING_BUDGET``
-    BudgetError, before any sum is taken.
+    and > 1 raises ConfigError before any sum is taken.  The schedule is
+    taken before the reference, so a grid reaching past ``DOUBLING_BUDGET``
+    raises BudgetError before any term is made.
     """
     if not 1.0 < hl_constant < math.inf:
         raise ConfigError(f"hl_constant must be finite and > 1, got {hl_constant}")
@@ -184,8 +185,6 @@ def error_scaling_scan(point: complex, n_grid: list[int], *,
     n_grid = [int(n) for n in n_grid]
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])) or n_grid[0] < 1:
         raise ValueError(f"n_grid must be strictly increasing and >= 1, got {n_grid!r}")
-    if n_grid[-1] > DOUBLING_BUDGET:
-        raise BudgetError(f"n_grid reaches {n_grid[-1]}, above the term budget {DOUBLING_BUDGET}")
 
     threshold = hl_constant * abs(point.imag) / (2.0 * math.pi)
     domain_ok = [n >= threshold for n in n_grid]
@@ -196,8 +195,8 @@ def error_scaling_scan(point: complex, n_grid: list[int], *,
             f"(need n >= {threshold:.6g} with C={hl_constant}); at least 3 required"
         )
 
-    reference = zeta_hat_eta(point).value
     values = zeta_hat_regularized_schedule(point, n_grid)
+    reference = zeta_hat_eta(point).value
     errors = [abs(v - reference) for v in values]
 
     log_n = [math.log(n_grid[i]) for i in usable]

@@ -78,6 +78,13 @@ _LN_SCALE_CONSTANT = LN_2 - math.log(_EPS)  # the constant part of ``_log_scale`
 #: about 0.6 s and 70 MB of peak memory (Python 3.11 on a Xeon core).
 BORWEIN_BUDGET = 1 << 14
 
+#: Longest direct sum accepted: ``eval --n``, a schedule's last mark (n_base 2^m
+#: of a doubling, the top of an errscan grid) and the identity residuals' 2n.
+#: It keeps a term-by-term sum under about a second: ``eval --n`` sums all its
+#: terms, a schedule only up to its base mark, which lies far below the budget
+#: unless |Im z| nears 2 pi 2^24.
+DOUBLING_BUDGET = 1 << 24
+
 #: Longest Euler-Maclaurin sum accepted on the critical line: |t| up to about 1.8e5.
 LINE_BUDGET = 1 << 15
 
@@ -99,19 +106,24 @@ class SeriesValue:
     est_error: float
 
 
-def _require_n(n: int) -> int:
+def _require_terms(z: complex, n: int) -> tuple[complex, int]:
+    """(z, n) for a direct sum of n terms k^(-z): ValueError for a z not finite
+    or n < 1, BudgetError for n above ``DOUBLING_BUDGET``, and OverflowError
+    where a term leaves double range or the phase |Im z| ln n reaches 2^52."""
+    z = _require_finite(z)
     if n < 1:
         raise ValueError(f"truncation index must be >= 1, got {n}")
-    return int(n)
-
-
-def _check_overflow(z: complex, n: int) -> None:
-    # |k^(-z)| = k^(-Re z) peaks at k = n for Re z < 0.
-    if n > 1 and (-z.real) * math.log(n) > 700.0:
+    if n > DOUBLING_BUDGET:
+        raise BudgetError(f"a direct sum of {n} terms exceeds the term budget {DOUBLING_BUDGET}")
+    n = int(n)
+    log_n = math.log(n)
+    # |k^(-z)| = k^(-Re z) peaks at k = n for Re z < 0
+    if (-z.real) * log_n > 700.0:
         raise OverflowError(f"terms of k^(-{z!r}) overflow double range at n={n}")
-    # a phase |Im z| ln n past double range would make the terms nan
-    if not math.isfinite(abs(z.imag) * math.log(n)):
-        raise OverflowError(f"the phase of k^(-{z!r}) leaves double range at n={n}")
+    # from 2^52 on the phase is rounded by about a radian: no digit is left
+    if abs(z.imag) * log_n >= 2.0 ** 52:
+        raise OverflowError(f"the phase of k^(-{z!r}) carries no digit at n={n}")
+    return z, n
 
 
 def mirror_is_conjugate(z: complex) -> bool:
@@ -128,17 +140,12 @@ def mirror_is_conjugate(z: complex) -> bool:
 def _take(terms: np.ndarray, marks, k0: int, k1: int, sums: list, carry):
     """Take the chunk ``terms`` for k = k0..k1-1 into ``sums``, one sum per
     mark it holds, and return the new carry, the sum of the whole chunks so
-    far."""
-    # a mark inside the chunk or at its end sums its own part of it; the
-    # chunk is sliced only inside, as a slice costs about 0.4 µs
+    far, while marks remain."""
     while len(sums) < len(marks) and marks[len(sums)] < k1:
-        mark = marks[len(sums)]
-        part = terms if mark == k1 - 1 else terms[..., :mark - k0 + 1]
+        part = terms[..., :marks[len(sums)] - k0 + 1]
         sums.append(carry + np.add.reduce(part, axis=-1, dtype=_LD))
     if len(sums) < len(marks):
-        # the sums go on: a mark at the chunk's end is the new carry
-        carry = (sums[-1] if sums and marks[len(sums) - 1] == k1 - 1
-                 else carry + np.add.reduce(terms, axis=-1, dtype=_LD))
+        carry = carry + np.add.reduce(terms, axis=-1, dtype=_LD)
     return carry
 
 
@@ -239,12 +246,9 @@ def partial_sums(z: complex, n: int) -> tuple[complex, complex, complex | Singul
     bit what ``zeta_hat_regularized`` returns.  Within ``GUARD_RADIUS``
     of z = 1 zhat_n is the SingularityError that ``zeta_hat_regularized``
     raises there, returned so that the other two sums are not lost.  Raises
-    ValueError for n < 1 and OverflowError where a term or its phase leaves
-    double range.
+    as ``_require_terms`` does before any term is made.
     """
-    z = _require_finite(z)
-    n = _require_n(n)
-    _check_overflow(z, n)
+    z, n = _require_terms(z, n)
     (plain,), (alternating,) = _partial_sums(z, (n,), alternating=True)
     try:
         _require_regular(z)
@@ -261,27 +265,27 @@ def zeta_hat_regularized(z: complex, n: int) -> complex:
     zeta(z) for Re z > 0 with error O(n^(-Re z)).  This is the one-mark case
     of ``zeta_hat_regularized_schedule``.
     """
-    (value,) = zeta_hat_regularized_schedule(z, [_require_n(n)])
+    (value,) = zeta_hat_regularized_schedule(z, [int(n)])
     return value
 
 
 def zeta_hat_regularized_schedule(z: complex, marks: list[int]) -> list[complex]:
     """zeta_hat_regularized at several strictly increasing truncation indices.
 
-    Raises SingularityError within ``GUARD_RADIUS`` of z = 1.  The sums are
+    Raises as ``_require_terms`` at the last mark, and SingularityError
+    within ``GUARD_RADIUS`` of z = 1, before any term is made.  The sums are
     taken term by term only up to the base mark a, the first mark where
     ``_em_order`` finds a J; every later mark b is zhat_a + delta(b) -
     delta(a) (``_em_delta``), off the term-by-term sum by at most 2^-51
     (Euler-Maclaurin; H. M. Edwards, Riemann's Zeta Function, 6.4).  Where
     no mark has a J, a is the last mark and every sum is taken term by term.
     """
-    z = _require_finite(z)
     if not marks:
         return []
-    if any(m < 1 for m in marks) or any(b <= a for a, b in zip(marks, marks[1:])):
+    if marks[0] < 1 or any(b <= a for a, b in zip(marks, marks[1:])):
         raise ValueError(f"marks must be strictly increasing and >= 1, got {marks!r}")
+    z, _ = _require_terms(z, marks[-1])
     _require_regular(z)
-    _check_overflow(z, marks[-1])
     base, order = next(((i, order) for i, m in enumerate(marks)
                         if (order := _em_order(z, m)) is not None), (len(marks) - 1, 0))
     values = _partial_sums(z, marks[:base + 1])
@@ -516,12 +520,11 @@ def identity_residual_plain(z: complex, n: int) -> float:
 
     The identity is exact (even terms of zeta_{2n} rescale to zeta_n), so the
     residual measures rounding noise of the implementation only.  All three
-    sums come from one term pass.
+    sums come from one term pass, gated by ``_require_terms`` at 2n.
     """
-    z = _require_finite(z)
-    n = _require_n(n)
-    _check_overflow(z, 2 * n)
-    (zeta_n, zeta_2n), (_, xi) = _partial_sums(z, (n, 2 * n), alternating=True)
+    z, two_n = _require_terms(z, 2 * n)
+    n = two_n // 2
+    (zeta_n, zeta_2n), (_, xi) = _partial_sums(z, (n, two_n), alternating=True)
     rhs = complex(zeta_2n) - 2.0 ** (1.0 - z) * complex(zeta_n)
     return abs(complex(xi) - rhs)
 
@@ -531,12 +534,11 @@ def identity_residual_regularized(z: complex, n: int) -> float:
 
     Holds exactly because (2n)^(1-z) = 2^(1-z) n^(1-z) makes the subtracted
     tails cancel; raises SingularityError near z = 1.  All three sums come
-    from one term pass.
+    from one term pass, gated by ``_require_terms`` at 2n.
     """
-    z = _require_finite(z)
-    n = _require_n(n)
+    z, two_n = _require_terms(z, 2 * n)
+    n = two_n // 2
     _require_regular(z)
-    _check_overflow(z, 2 * n)
-    (zeta_n, zeta_2n), (_, xi) = _partial_sums(z, (n, 2 * n), alternating=True)
-    rhs = _regularized(z, 2 * n, zeta_2n) - 2.0 ** (1.0 - z) * _regularized(z, n, zeta_n)
+    (zeta_n, zeta_2n), (_, xi) = _partial_sums(z, (n, two_n), alternating=True)
+    rhs = _regularized(z, two_n, zeta_2n) - 2.0 ** (1.0 - z) * _regularized(z, n, zeta_n)
     return abs(complex(xi) - rhs)

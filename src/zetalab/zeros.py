@@ -196,8 +196,7 @@ def refine_zero(t_lo: float, t_hi: float, *, tolerance: float = DEFAULT_TOLERANC
     if not t_lo < t_hi:
         raise BracketError(f"bracket [{t_lo}, {t_hi}] is empty")
     plan = line_plan(max(abs(t_lo), abs(t_hi)))
-    z_lo = _evaluate([t_lo], plan)[0][0]
-    z_hi = _evaluate([t_hi], plan)[0][0]
+    (z_lo, z_hi), _ = _evaluate([t_lo, t_hi], plan)
     if not z_lo * z_hi < 0.0:
         raise BracketError(
             f"Z has no sign change on [{t_lo}, {t_hi}]: Z = {z_lo:.3e}, {z_hi:.3e}"

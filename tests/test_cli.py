@@ -654,12 +654,13 @@ class TestFloatFormat:
 
 class TestTermBudget:
     # a term count past the budget is refused before any series is summed,
-    # as doubling refuses a schedule past it
+    # and m = 10^9 before its last mark, a 125 MB integer, is formed
     CASES = [
         ["eval", "--z", "0.5+10i", "--n", str(DOUBLING_BUDGET + 1)],
         ["eval", "--z", "0.5+10i", "--n", str(1 << 40)],
         ["errscan", "--z", "0.5+10i", "--nmax", str(2 * DOUBLING_BUDGET)],
         ["errscan", "--z", "0.5+10i", "--nmax", str(1 << 40)],
+        ["doubling", "--zero-index", "1", "--m", "1000000000"],
     ]
 
     @pytest.mark.parametrize("args", CASES, ids=[args[0] + args[-1] for args in CASES])
@@ -683,15 +684,22 @@ class TestBorweinBudget:
         monkeypatch.setattr(series, "_borwein_weights", refuse)
 
     def test_eval_reports_it_per_value(self, capsys):
-        # 1e20 needs about 8.9e19 terms, past the range of int64
-        for t in ("1000000", "1e20"):
-            code, out, err = run_cli(["eval", "--z", f"0.5+{t}i"], capsys)
-            assert code == 1
-            results = json.loads(out)["results"]
-            assert results["zeta_hat_eta"]["error"] == "BudgetError"
-            assert all("re" in results[name]
-                       for name in ("zeta_partial", "eta_partial", "zeta_hat_regularized"))
-            assert "BudgetError" in err
+        code, out, err = run_cli(["eval", "--z", "0.5+1000000i"], capsys)
+        assert code == 1
+        results = json.loads(out)["results"]
+        assert results["zeta_hat_eta"]["error"] == "BudgetError"
+        assert all("re" in results[name]
+                   for name in ("zeta_partial", "eta_partial", "zeta_hat_regularized"))
+        assert "BudgetError" in err
+        # 1e20 needs about 8.9e19 terms, past the range of int64, and its
+        # phase |Im z| ln n is past 2^52, so its plain sums carry no digit
+        code, out, err = run_cli(["eval", "--z", "0.5+1e20i"], capsys)
+        assert code == 1
+        results = json.loads(out)["results"]
+        assert results["zeta_hat_eta"]["error"] == "BudgetError"
+        for name in ("zeta_partial", "eta_partial", "zeta_hat_regularized"):
+            assert results[name]["error"] == "OverflowError"
+        assert "BudgetError, OverflowError" in err
 
     def test_zeros_is_usage_error(self, capsys):
         # the grid near 1e20 is 32768 steps within one ulp, 16384, so it
@@ -704,9 +712,10 @@ class TestBorweinBudget:
 
 
 class TestPhaseRange:
-    # past |Im z| ln n ~ 1.8e308 the phase of exp(-z ln k) is not finite and
-    # the terms would be nan: the plain sums are refused before any term is
-    # made, so no RuntimeWarning fails the run under filterwarnings = error
+    # from |Im z| ln n = 2^52 on the phase of exp(-z ln k) is rounded by about
+    # a radian, and past ~1.8e308 it is not finite and the terms would be nan:
+    # the plain sums are refused before any term is made, so no RuntimeWarning
+    # fails the run under filterwarnings = error
 
     @pytest.fixture(autouse=True)
     def no_terms(self, monkeypatch):
@@ -725,6 +734,12 @@ class TestPhaseRange:
 
     def test_doubling_is_a_computation_failure(self, capsys):
         code, out, err = run_cli(["doubling", "--z", "0.5+1e308i"], capsys)
+        assert (code, out) == (1, "")
+        assert "OverflowError" in err
+
+    def test_finite_phase_without_a_digit(self, capsys):
+        # at 1e300 the phase is finite but rounded by far more than a radian
+        code, out, err = run_cli(["doubling", "--z", "0.5+1e300i"], capsys)
         assert (code, out) == (1, "")
         assert "OverflowError" in err
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from zetalab import (
     zeta_hat_eta,
     zeta_hat_regularized,
 )
-from zetalab.experiments import LOG2_IMAG_PERIOD
+from zetalab.experiments import LOG2_IMAG_PERIOD, _doubling_marks
 
 import oracles
 
@@ -58,6 +59,17 @@ class TestZetaHatDoubling:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             zeta_hat_ratios(RHO1, 1 << 20, 5)
+
+    def test_huge_m_is_refused_before_the_marks_are_formed(self):
+        # n_base << m alone would take m / 8 bytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="m = 1000000000"):
+                _doubling_marks(4096, 10 ** 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zetalab import (
+    DOUBLING_BUDGET,
     BudgetError,
     DomainError,
     PrefactorSingularityError,
@@ -486,6 +487,51 @@ class TestBorweinBudget:
             if 0.0 < t < 1e300:
                 with pytest.raises(BudgetError, match="above the budget"):
                     scan_zeros(ScanWindow(t, t + max(1.0, math.ulp(t)), 0.5))
+
+
+class TestTermGate:
+    # every direct sum passes series._require_terms before any term is made;
+    # here making terms raises Summed instead, so no over-budget sum runs
+
+    class Summed(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def no_terms(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise self.Summed
+        monkeypatch.setattr(series, "_partial_sums", refuse)
+
+    @staticmethod
+    def direct_sums(z, extra):
+        """The direct sums of DOUBLING_BUDGET + extra terms: the plain sums, a
+        schedule's last mark, and the identity residuals' 2n (extra <= 1)."""
+        n, half = DOUBLING_BUDGET + extra, DOUBLING_BUDGET // 2 + extra
+        return [lambda: partial_sums(z, n),
+                lambda: zeta_hat_regularized_schedule(z, [1, n]),
+                lambda: identity_residual_plain(z, half),
+                lambda: identity_residual_regularized(z, half)]
+
+    def test_budget(self):
+        z = complex(0.5, 14.0)
+        for direct_sum in self.direct_sums(z, 0):
+            with pytest.raises(self.Summed):
+                direct_sum()
+        for direct_sum in self.direct_sums(z, 1):
+            with pytest.raises(BudgetError, match="exceeds the term budget"):
+                direct_sum()
+
+    def test_phase_without_a_digit(self):
+        # from |Im z| ln n = 2^52 on the phase is rounded by about a radian
+        with pytest.raises(OverflowError, match="carries no digit"):
+            partial_sums(complex(0.5, 1e20), 100)
+        t = 2.0 ** 52 / math.log(100)
+        while t * math.log(100) >= 2.0 ** 52:
+            t = math.nextafter(t, 0.0)
+        with pytest.raises(self.Summed):
+            partial_sums(complex(0.5, t), 100)
+        with pytest.raises(OverflowError, match="carries no digit"):
+            partial_sums(complex(0.5, math.nextafter(t, math.inf)), 100)
 
 
 class TestIdentities:

@@ -298,7 +298,8 @@ class TestScanLogic:
         self.synthetic(monkeypatch, math.expm1, calls)
         record = refine_zero(-1.0, 10.0)
         assert abs(record.ordinate) <= 1e-12
-        assert all(len(ts) == 1 for ts in calls)  # one ordinate per step
+        assert calls[0] == [-1.0, 10.0]  # both ends in one call
+        assert all(len(ts) == 1 for ts in calls[1:])  # then one ordinate per step
         assert len(calls) <= 30
 
     def test_exact_grid_zero_and_sign_change(self, monkeypatch):
