@@ -1,6 +1,6 @@
 """Partial-sum machinery for the zeta function in the critical strip.
 
-Four objects are computed here, all from partial sums of k^(-z):
+Three functions compute four objects, all from partial sums of k^(-z):
 
 * ``partial_sums``          zeta_n(z)  = sum_{k<=n} k^(-z) and
                             xi_n(z)    = sum_{k<=n} (-1)^(k-1) k^(-z)
@@ -25,10 +25,10 @@ noise stays far below the 1e-10 identity budget even for n = 10^4 sums of
 O(10^4) magnitude near the edge of the strip.  One term pass,
 ``_partial_sums``, gives the plain and the alternating sums of a point at
 the same marks.  Public values are IEEE doubles.
-A regularized schedule is summed term by term up to its base mark, and its
-later marks are Euler-Maclaurin steps.  ``zeta_hat_eta`` sums one point at
-its own Borwein length.  On the critical line, ``hardy_z_line`` gives Hardy's
-Z(t) at many ordinates by Euler-Maclaurin: the plain sum of n terms and m
+``zeta_hat_eta`` sums one point at its own Borwein length.  One
+Euler-Maclaurin kernel, ``_em_bracket``, takes a regularized schedule past
+its base mark, one row per later mark, and gives Hardy's Z(t) in
+``hardy_z_line``, one row per ordinate: the plain sum of n terms and m
 Bernoulli terms, from one ``line_plan`` (n, m) per window and no weights.
 """
 
@@ -275,8 +275,8 @@ def zeta_hat_regularized_schedule(z: complex, marks: list[int]) -> list[complex]
     Raises as ``_require_terms`` at the last mark, and SingularityError
     within ``GUARD_RADIUS`` of z = 1, before any term is made.  The sums are
     taken term by term only up to the base mark a, the first mark where
-    ``_em_order`` finds a J; every later mark b is zhat_a + delta(b) -
-    delta(a) (``_em_delta``), off the term-by-term sum by at most 2^-51
+    ``_em_order`` finds a J; every later mark b is zhat_a - delta(a) +
+    delta(b) (``_em_bracket``), off the term-by-term sum by at most 2^-51
     (Euler-Maclaurin; H. M. Edwards, Riemann's Zeta Function, 6.4).  Where
     no mark has a J, a is the last mark and every sum is taken term by term.
     """
@@ -290,8 +290,10 @@ def zeta_hat_regularized_schedule(z: complex, marks: list[int]) -> list[complex]
                         if (order := _em_order(z, m)) is not None), (len(marks) - 1, 0))
     values = _partial_sums(z, marks[:base + 1])
     head = [_regularized(z, m, s) for m, s in zip(marks, values)]
-    start = head[-1] - _em_delta(z, marks[base], order)
-    return head + [start + _em_delta(z, b, order) for b in marks[base + 1:]]
+    x = np.array(marks[base:], dtype=float)
+    with np.errstate(over="ignore"):  # -z ln x leaves double range only where x^(-z) is 0
+        delta = _em_bracket(z, x, order) * np.exp(-z * np.log(x))
+    return head + (head[-1] - delta[0] + delta[1:]).tolist()
 
 
 #: B_2j / (2j)! for j = 1..150, the Euler-Maclaurin coefficients: literals up
@@ -307,34 +309,51 @@ _EM_COEFFS = (
           for j in range(12, 151))
 
 
-def _em_order(z: complex, x: int, orders: int = 10) -> int | None:
-    """The least J <= ``orders`` whose Euler-Maclaurin remainder at x is <= 2^-52.
+def _em_order(z: complex, x: int) -> int | None:
+    """The least J <= 149, the one cap of the schedules and the line, whose
+    Euler-Maclaurin remainder at x is <= 2^-52, or None.
 
-    zeta(z) = zhat_x(z) - delta(x) + R_J(x), and H. Rademacher's bound
-    (Topics in Analytic Number Theory, 1973) is |R_J(x)| <= |z+2J+1| /
-    (Re z+2J+1) |T_{J+1}(x)| for Re z > -2J-1, where T_j(x) = B_2j/(2j)!
-    (z)_{2j-1} x^(1-z-2j), (z)_m = z (z+1) ... (z+m-1), built from T_J by a
-    ratio.  None if no J qualifies.
+    zeta(z) = zhat_x(z) - delta(x) + R_J(x) (``_em_bracket``), and H.
+    Rademacher's bound (Topics in Analytic Number Theory, 1973) is |R_J(x)|
+    <= |z+2J+1| / (Re z+2J+1) |T_{J+1}(x)| for Re z > -2J-1; math.hypot,
+    where abs raises, takes a T_{J+1} past double range to inf.
     """
-    x = float(x)
     size = math.exp(-z.real * math.log(x))
-    ratio = z / x
-    for order, coeff in enumerate(_EM_COEFFS[:orders + 1]):
+    term = _EM_COEFFS[0] * z / x  # T_1(x) / x^(-z), then T_{J+1}(x) / x^(-z)
+    for order, (coeff, following) in enumerate(zip(_EM_COEFFS, _EM_COEFFS[1:] + (0.0,))):
         slope = z.real + 2 * order + 1
-        if slope > 0.0 and abs(z + 2 * order + 1) / slope * abs(coeff * ratio) * size <= _EPS:
+        if slope > 0.0 and (abs(z + 2 * order + 1) / slope * math.hypot(term.real, term.imag)
+                            * size <= _EPS):
             return order
-        ratio *= (z + 2 * order + 1) * (z + 2 * order + 2) / (x * x)
+        term *= _em_ratio(z, x, 2 * order + 1, following / coeff)
     return None
 
 
-def _em_delta(z: complex, x: int, order: int) -> complex:
-    """delta(x) = x^(-z) / 2 - sum_{j<=order} T_j(x) in double precision."""
-    x = float(x)
-    ratio, acc = z / x, 0.5
-    for j in range(order):
-        acc -= _EM_COEFFS[j] * ratio
-        ratio *= (z + 2 * j + 1) * (z + 2 * j + 2) / (x * x)
-    return acc * cmath.exp(-z * math.log(x))
+def _em_ratio(z, x, odd, step):
+    """T_{j+1}(x) / T_j(x) = (z + 2j - 1) (z + 2j) c_{j+1} / (c_j x^2) from odd =
+    2j - 1 and step = c_{j+1} / c_j: for one j, or rows of z or x by a vector of j."""
+    shifted = z + odd
+    return shifted * (shifted + 1.0) * (step / (x * x))
+
+
+@functools.cache
+def _em_ratios(m: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """c_1 (0 for m = 0) and the read-only 2j - 1 and c_{j+1} / c_j, j < m <= 150."""
+    coeffs = np.array(_EM_COEFFS[:m])
+    odd, step = 2.0 * np.arange(1.0, m) - 1.0, coeffs[1:] / coeffs[:-1]
+    odd.flags.writeable = step.flags.writeable = False
+    return (_EM_COEFFS[0] if m else 0.0), odd, step
+
+
+def _em_bracket(z, x, m: int):
+    """delta(x) / x^(-z) = 1/2 - sum_{j<=m} c_j (z)_{2j-1} x^(1-2j), c_j = B_2j / (2j)!,
+    a row per z or x of a 1-D array: c_1 z / x times 1 plus the running product of
+    its ``_em_ratio`` row, summed pairwise, so a value depends only on its z, x, m."""
+    first, odd, step = _em_ratios(m)
+    z, x = np.asarray(z, dtype=complex), np.asarray(x, dtype=float)
+    ratios = _em_ratio(z[..., np.newaxis], x[..., np.newaxis], odd, step)
+    tail = np.add.reduce(np.cumprod(ratios, axis=-1, out=ratios), axis=-1)
+    return 0.5 - first * z / x * (1.0 + tail)
 
 
 def _eta_prefactor(z: complex) -> complex:
@@ -413,10 +432,10 @@ def line_plan(t: float) -> tuple[int, int]:
     """The Euler-Maclaurin plan (n, m) for zeta(1/2 + i t'), |t'| <= |t|.
 
     n = ceil(1.15 |t| / 2 pi) + 8 keeps |z| / (2 pi n) below 1 / 1.15, so the
-    terms T_j(n) shrink by 0.76 or faster, and m is the least order whose
-    Rademacher bound (``_em_order``) at 1/2 + i |t| is <= 2^-52, a bound that
-    grows with |t'|: (27, 38) at t = 100, (1839, 121) at t = 10^4.  Raises
-    ValueError unless t is finite, and BudgetError past ``LINE_BUDGET``.
+    terms T_j(n) shrink by 0.76 or faster, and m is ``_em_order`` at 1/2 +
+    i |t|, a bound that grows with |t'|: (27, 38) at t = 100, (1839, 121) at
+    t = 10^4, 129 at the budget.  Raises ValueError unless t is finite, and
+    BudgetError past ``LINE_BUDGET``.
     """
     t = abs(float(t))
     if not math.isfinite(t):
@@ -426,39 +445,16 @@ def line_plan(t: float) -> tuple[int, int]:
         raise BudgetError(f"the critical line up to |t| = {t!r} needs an Euler-Maclaurin sum "
                           f"of {math.ceil(n)} terms, above the budget {LINE_BUDGET}")
     n = math.ceil(n)
-    return n, _em_order(complex(0.5, t), n, len(_EM_COEFFS) - 1)
-
-
-@functools.lru_cache(maxsize=16)
-def _line_factors(n: int, m: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """(ln n, p, q, r): T_1(n) / n^(-z) = c_1 z / n and T_{j+1}(n) / T_j(n) =
-    (z + 2j - 1) (z + 2j) c_{j+1} / (c_j n^2), c_j = B_2j / (2j)!, at z = 1/2 + i t
-    are p_j - q_j t^2 + i r_j t, j = 0..m-1."""
-    coeffs = np.array(_EM_COEFFS[:m])
-    scale = np.concatenate(([coeffs[0] / n], coeffs[1:] / coeffs[:-1] / (n * n)))
-    j = np.arange(m, dtype=float)
-    first = j == 0.0
-    return (math.log(n), scale * np.where(first, 0.5, 4.0 * j * j - 0.25),
-            np.where(first, 0.0, scale), scale * np.where(first, 1.0, 4.0 * j))
+    return n, _em_order(complex(0.5, t), n)
 
 
 def _line_zeta(t: np.ndarray, n: int, m: int) -> np.ndarray:
-    """zeta(1/2 + i t) = zeta_n(z) - n^(1-z)/(1-z) - n^(-z)/2 + sum_{j<=m} T_j(n) + R.
-
-    The T_j(n) / n^(-z) of a row are the running product of its factors,
-    summed pairwise, so a value depends only on its ordinate and (n, m).
-    """
-    ln_n, p, q, r = _line_factors(n, m)
+    """zeta(1/2 + i t) = zeta_n(z) - n^(-z) (n / (1 - z) + ``_em_bracket(z, n, m)``) + R,
+    one row per ordinate, so a value depends only on its ordinate and (n, m)."""
     z = 0.5 + 1j * t
-    t2 = t * t
     (plain,) = _partial_sums(z, (n,))
-    factors = np.empty((len(t), m), dtype=complex)
-    np.multiply.outer(t2, q, out=factors.real)
-    np.subtract(p, factors.real, out=factors.real)
-    np.multiply.outer(t, r, out=factors.imag)
-    bernoulli = np.add.reduce(np.cumprod(factors, axis=1, out=factors), axis=1)
-    # n / (1 - z) = n z / (1/4 + t^2) on the line
-    return plain.astype(complex) - np.exp(z * -ln_n) * (z * (n / (0.25 + t2)) + 0.5 - bernoulli)
+    bracket = z * (n / (0.25 + t * t)) + _em_bracket(z, n, m)  # n z / (1/4 + t^2) = n / (1 - z)
+    return plain.astype(complex) - np.exp(z * -math.log(n)) * bracket
 
 
 def _theta(t: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ zeros, and every verified zero lies there.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass, replace
@@ -283,19 +284,20 @@ def crosscheck_zeros(
 ) -> CrosscheckReport:
     """Match found zeros to reference ordinates by proximity, one-to-one.
 
-    Candidate pairs within ``tol`` are assigned greedily by increasing
-    |delta|.  Unmatched reference ordinates are reported only within
-    ``window`` (defaulting to the span of the found ordinates).  Raises
-    ConfigError unless ``tol`` is finite and > 0.
+    Candidate pairs within ``tol``, taken by bisection of the sorted reference
+    within 2 tol (which holds every pair within tol after rounding), are
+    assigned greedily by increasing (|delta|, i, j).  Unmatched reference
+    ordinates are reported only within ``window`` (defaulting to the span of
+    the found ordinates).  Raises ConfigError unless ``tol`` is finite and > 0.
     """
     _require_tolerance(tol, "tol")
-    candidates = []
-    for i, record in enumerate(found):
-        for j, ref in enumerate(reference):
-            delta = abs(record.ordinate - ref)
-            if delta <= tol:
-                candidates.append((delta, i, j))
-    candidates.sort()
+    order = sorted(range(len(reference)), key=reference.__getitem__)
+    values = [reference[j] for j in order]
+    candidates = sorted(
+        (abs(r.ordinate - reference[j]), i, j) for i, r in enumerate(found)
+        for j in order[bisect.bisect_left(values, r.ordinate - 2.0 * tol):
+                       bisect.bisect_right(values, r.ordinate + 2.0 * tol)]
+        if abs(r.ordinate - reference[j]) <= tol)
 
     used_found: set[int] = set()
     used_ref: set[int] = set()

@@ -2,7 +2,8 @@
 each in its own row, give what each gives summed alone, and at a point's
 own length zeta_hat_eta's value.  On the critical line hardy_z_line sums
 ordinates so at one Euler-Maclaurin plan, and line_plan gives the plan that
-serves every ordinate up to |t|.  Values are compared by float.hex."""
+serves every ordinate up to |t|.  A schedule's Euler-Maclaurin bracket takes
+its marks as rows the same way.  Values are compared by float.hex."""
 
 import math
 
@@ -144,6 +145,18 @@ class TestBatchEqualsScalar:
         assert hardy_z_line([], line_plan(20.0)) == ([], [])
 
 
+class TestBracketRows:
+    # the schedule's rows: one point at many marks x
+
+    @pytest.mark.parametrize("z", [complex(0.5, 14.134725141734695), complex(0.3, 50.0),
+                                   complex(0.1, 3000.0), complex(0.75, -20.0)])
+    def test_rows_of_marks_stand_alone(self, z):
+        marks = [float(1 << j) for j in range(6, 21)]
+        for order in (0, 1, 10, 23, len(series._EM_COEFFS) - 1):
+            rows = series._em_bracket(z, np.array(marks), order)
+            assert hexes(rows) == hexes([series._em_bracket(z, x, order) for x in marks])
+
+
 class TestLineLength:
     # line_plan: one Euler-Maclaurin plan (n, m) for every ordinate of a window
 
@@ -156,7 +169,7 @@ class TestLineLength:
         n, m = line_plan(t_max)
         assert all(own <= n for own in lengths)
         assert n <= max(lengths) + 1
-        assert all(series._em_order(complex(0.5, t), n, m) is not None for t in grid)
+        assert all(series._em_order(complex(0.5, t), n) <= m for t in grid)
 
     def test_even_and_growing(self):
         ts = [0.0, 0.5, 14.1, 100.0, 1000.0, 10_000.0, 100_000.0]

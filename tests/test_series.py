@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -120,8 +121,9 @@ def direct_rounding(z, marks):
 
 
 def delta_rounding(z, x):
-    """First-order bound on the rounding of series._em_delta(z, x, J): x^(-z)
-    is off by (2 + |z| ln x) eps relative, the bracket by eps."""
+    """First-order bound on the rounding of delta(x) = x^(-z)
+    series._em_bracket(z, x, J): x^(-z) is off by (2 + |z| ln x) eps
+    relative, the bracket by eps."""
     return EPS * (3.0 + abs(z) * math.log(x)) * x ** -z.real
 
 
@@ -160,14 +162,21 @@ class TestEulerMaclaurinSchedule:
         for z in off_zero_controls():
             self.assert_near_direct(z)
 
-    def assert_near_direct(self, z):
-        assert self.base(z, DOUBLING_MARKS) == 4096
-        direct = direct_schedule(z, DOUBLING_MARKS)
-        rounding = direct_rounding(z, DOUBLING_MARKS)
-        schedule = zeta_hat_regularized_schedule(z, DOUBLING_MARKS)
-        assert schedule[0] == direct[0]
+    def test_against_direct_past_ten_orders(self):
+        # at 0.5 + 3000i the base is 1024, where the least J is 23
+        z, marks = complex(0.5, 3000.0), [1 << j for j in range(8, 17)]
+        assert series._em_order(z, 1024) == 23
+        self.assert_near_direct(z, marks, 1024)
+
+    def assert_near_direct(self, z, marks=DOUBLING_MARKS, base=4096):
+        assert self.base(z, marks) == base
+        direct = direct_schedule(z, marks)
+        rounding = direct_rounding(z, marks)
+        schedule = zeta_hat_regularized_schedule(z, marks)
+        at = marks.index(base)
+        assert schedule[:at + 1] == direct[:at + 1]
         for value, want, bound in zip(schedule, direct, rounding):
-            assert abs(value - want) <= 2.0 ** -51 + rounding[0] + bound, (z, value, want)
+            assert abs(value - want) <= 2.0 ** -51 + rounding[at] + bound, (z, value, want)
 
     def test_steps_against_oracle(self):
         # the Hurwitz oracle has no rounding: the step from the base mark
@@ -185,10 +194,18 @@ class TestEulerMaclaurinSchedule:
         assert all(series._em_order(z, m) is None for m in marks)
         assert zeta_hat_regularized_schedule(z, marks) == direct_schedule(z, marks)
 
+    @pytest.mark.parametrize("sigma", [5e307, 1.7e308])
+    def test_overflowing_exponent_steps_without_warning(self, sigma):
+        # -z ln x leaves double range past the base mark, where x^(-z) is 0
+        z = complex(sigma, 0.0)
+        assert self.base(z, [1, 2, 4096]) == 2
+        assert zeta_hat_regularized_schedule(z, [1, 2, 4096]) == [1.0, 1.0, 1.0]
+
     def test_base_grows_with_t(self):
         marks = [1 << j for j in range(25)]
         bases = [self.base(complex(0.5, t), marks) for t in (0.0, 10.0, 100.0, 1000.0, 10000.0)]
-        assert bases == sorted(set(bases)), bases
+        # non-decreasing, and strictly rising from t = 10 on
+        assert bases[0] <= bases[1] < bases[2] < bases[3] < bases[4], bases
 
 
 class TestZetaHatEta:
@@ -414,16 +431,18 @@ class TestEulerMaclaurinLine:
 
     @pytest.mark.parametrize("t", [0.0, 3.0, 14.134725141734695, 100.0, 3000.7, 50_000.0])
     def test_equals_the_scalar_euler_maclaurin_step(self, t):
-        # the array kernel against the schedule's scalar delta (_em_delta) on
-        # the extended-precision zhat_n: the same sum in another order, off by
-        # rounding, most of it in the phase (1 - z) ln n of the tail
+        # the line's value against the schedule's form zhat_n - n^(-z) times the
+        # bracket at one scalar z, on the extended-precision zhat_n: the same
+        # sum in another order, off by rounding, most of it in the phase
+        # (1 - z) ln n of the tail
         n, m = series.line_plan(t)
         z = complex(0.5, t)
         plain, _, regularized = partial_sums(z, n)
         value = complex(series._line_zeta(np.array([t]), n, m)[0])
         tail = (n / abs(1.0 - z) + 1.0) / math.sqrt(n)
         bound = series._EPS * (8.0 * (abs(plain) + 1.0) + abs(z) * math.log(n) * tail)
-        assert abs(value - (regularized - series._em_delta(z, n, m))) <= bound
+        delta = complex(series._em_bracket(z, n, m)) * cmath.exp(-z * math.log(n))
+        assert abs(value - (regularized - delta)) <= bound
 
     @pytest.mark.parametrize("j,coeff", oracles.BERNOULLI_COEFF_SAMPLES)
     def test_bernoulli_table_against_oracle(self, j, coeff):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from zetalab import (
 from zetalab import zeros
 from zetalab import series
 from zetalab.series import _borwein_weights, _partial_sums, line_plan
-from zetalab.zeros import ZeroRecord
+from zetalab.zeros import CrosscheckReport, MatchedPair, ZeroRecord
 
 import oracles
 
@@ -140,11 +141,11 @@ class TestScan:
         # cold, a window takes one plan and builds no weight vector
         _borwein_weights.cache_clear()
         line_plan.cache_clear()
-        series._line_factors.cache_clear()
+        series._em_ratios.cache_clear()
         assert len(scan_zeros(ScanWindow(2990.0, 3010.0, 0.05))) == 19
         assert _borwein_weights.cache_info().misses == 0
         assert line_plan.cache_info().misses == 1
-        assert series._line_factors.cache_info().misses == 1
+        assert series._em_ratios.cache_info().misses == 1
 
     def test_a_window_past_the_borwein_budget(self):
         # Borwein's series would need 17 861 terms at t = 20020; the plan has 3673
@@ -354,6 +355,37 @@ class TestZeroTable:
             assert abs(got - expected) <= 1e-12
 
 
+def all_pairs_crosscheck(found, reference, tol, window=None):
+    """crosscheck_zeros as it was: every found zero against every reference."""
+    candidates = []
+    for i, record in enumerate(found):
+        for j, ref in enumerate(reference):
+            delta = abs(record.ordinate - ref)
+            if delta <= tol:
+                candidates.append((delta, i, j))
+    candidates.sort()
+    used_found, used_ref, matched = set(), set(), []
+    for delta, i, j in candidates:
+        if i in used_found or j in used_ref:
+            continue
+        used_found.add(i)
+        used_ref.add(j)
+        matched.append(MatchedPair(found[i].index, j + 1, found[i].ordinate, reference[j], delta))
+    matched.sort(key=lambda m: m.found_ordinate)
+    unmatched_found = [r for i, r in enumerate(found) if i not in used_found]
+    if window is None:
+        if found:
+            window = (min(r.ordinate for r in found), max(r.ordinate for r in found))
+        else:
+            window = (math.inf, -math.inf)
+    lo, hi = window
+    unmatched_reference = [
+        ref for j, ref in enumerate(reference) if j not in used_ref and lo <= ref <= hi
+    ]
+    max_delta = max((m.delta for m in matched), default=0.0)
+    return CrosscheckReport(matched, unmatched_found, unmatched_reference, max_delta, tol)
+
+
 class TestCrosscheck:
     @staticmethod
     def records(ordinates):
@@ -361,6 +393,46 @@ class TestCrosscheck:
             ZeroRecord(index=i, ordinate=t, residual_mag=0.0, refined=True)
             for i, t in enumerate(ordinates, start=1)
         ]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_the_all_pairs_report(self, seed):
+        # unsorted references with repeated values, and references at, just
+        # inside and just outside tol of a found ordinate, where the rounding
+        # of ordinate -+ tol decides
+        rng = np.random.default_rng(seed)
+        tol = float(rng.choice([1e-6, 1e-3, 0.5]))
+        found = sorted(rng.uniform(10.0, 60.0, int(rng.integers(0, 40))).tolist())
+        found += found[:int(rng.integers(0, 3))]  # repeated ordinates
+        reference = rng.uniform(10.0, 60.0, int(rng.integers(0, 40))).tolist()
+        for t in found[::2]:
+            edge = t + float(rng.choice([-tol, tol]))
+            reference += [edge, math.nextafter(edge, t), math.nextafter(edge, -t if edge < t else 2 * t),
+                          t, t + float(rng.uniform(-tol, tol))]
+        reference += reference[:int(rng.integers(0, 5))]
+        rng.shuffle(reference)
+        window = None if seed % 2 else (20.0, 50.0)
+        records = self.records(found)
+        assert crosscheck_zeros(records, reference, tol, window) == \
+            all_pairs_crosscheck(records, reference, tol, window)
+
+    def test_a_reference_past_the_rounded_edge(self):
+        # |t - ref| rounds to <= tol, though ref lies below t - tol rounded
+        t, tol, ref = 0.763774618976614, 0.5101380514788434, 0.2536365674977706
+        assert ref < t - tol and abs(t - ref) <= tol
+        report = crosscheck_zeros(self.records([t]), [ref], tol)
+        assert report == all_pairs_crosscheck(self.records([t]), [ref], tol)
+        assert len(report.matched) == 1
+
+    def test_ten_thousand_against_ten_thousand(self):
+        # about 5 s all pairs; bisection keeps it far below the budget
+        rng = np.random.default_rng(7)
+        reference = np.sort(rng.uniform(10.0, 10_000.0, 10_000)).tolist()
+        found = self.records([t + float(d) for t, d in zip(reference, rng.uniform(-2e-6, 2e-6, 10_000))])
+        start = time.perf_counter()
+        report = crosscheck_zeros(found, reference, tol=1e-6)
+        assert time.perf_counter() - start < 2.0
+        assert len(report.matched) + len(report.unmatched_found) == 10_000
+        assert all(m.delta <= 1e-6 for m in report.matched)
 
     def test_identical_lists_match_fully(self):
         reference = oracles.ZERO_ORDINATES_FIRST10[:5]
